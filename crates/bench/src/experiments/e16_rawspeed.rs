@@ -1,12 +1,12 @@
-//! E16 — the raw-speed per-op software path: what scatter-gather WRs,
+//! E16 — the raw-speed per-op software path: what gather WRs,
 //! inline small WRITEs, and the sliced checksum/hash kernels buy.
 //!
 //! Three deterministic arms plus one wall-clock µ-bench:
 //!
-//! * **scatter-gather** (`ClientConfig::sge` off vs on): a 16-piece striped
-//!   IO posts one multi-element WR per QP instead of one WR per piece —
-//!   doorbells per IO drop from `pieces` to the QP count, and the saved
-//!   post overhead shows up directly in virtual-time latency.
+//! * **gather WRs**: one 16-piece striped IO posts one multi-element WR
+//!   per QP, against the same bytes moved as 16 one-stripe IOs issued at
+//!   once (one WR each) — doorbells per IO drop from `pieces` to the QP
+//!   count, and so does the posting-CPU attribution.
 //! * **inline WRITEs** (`RdmaConfig::inline_max` 0 vs 256): a warm KV put's
 //!   slot publish rides in the WQE instead of a staged DMA buffer, paying
 //!   `inline_post_overhead` instead of `post_overhead` per WR.
@@ -32,24 +32,24 @@ use sim::{DetRng, OpSummary};
 
 use crate::table::{fmt_bytes, Table};
 
-/// Bytes per striped IO in the scatter-gather arms.
+/// Bytes per striped IO in the gather arms.
 const IO_BYTES: u64 = 64 << 10;
 /// Stripe size: `IO_BYTES / STRIPE` = 16 pieces per IO.
 const STRIPE: u64 = 4 << 10;
-/// Memory servers in the scatter-gather arms (= QPs a striped IO touches).
+/// Memory servers in the gather arms (= QPs a striped IO touches).
 const SERVERS: usize = 4;
 /// Timed ops per arm.
 const OPS: u64 = 32;
 /// Warm puts timed in the inline arms.
 const PUTS: u64 = 64;
 
-/// One scatter-gather arm's measurements (per striped 16-piece IO).
+/// One gather arm's measurements (per 16-piece full-region IO).
 ///
 /// Completion latency (`read_ns`/`write_ns`) is expected to be *unchanged*
 /// between arms: WQE-build costs of WRs posted in the same instant overlap
 /// in the NIC model. The saving shows up in the doorbell counters and in
 /// the ledger's post-layer attribution (`read_post_ns`/`write_post_ns`) —
-/// one `post_overhead` charge per WR chain instead of one per piece.
+/// one `post_overhead` charge per gather WR instead of one per piece.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SgeArm {
     /// Doorbells rung per read IO.
@@ -64,7 +64,7 @@ pub struct SgeArm {
     pub read_post_ns: u64,
     /// Ledger post-layer ns attributed per write IO.
     pub write_post_ns: u64,
-    /// Multi-element WRs posted per read IO (0 without scatter-gather).
+    /// Multi-element WRs posted per read IO (0 for one-stripe IOs).
     pub sge_wrs_per_read: u64,
 }
 
@@ -76,11 +76,11 @@ pub struct RawSpeedStats {
     pub pieces: u64,
     /// Distinct QPs (= servers) a striped IO touches.
     pub qps: u64,
-    /// Per-piece posting: one WR + one doorbell per piece.
+    /// 16 one-stripe IOs issued at once: one WR + one doorbell per piece.
     pub per_piece: SgeArm,
-    /// Scatter-gather posting: one multi-element WR per QP.
+    /// One striped IO: one multi-element gather WR per QP.
     pub sge: SgeArm,
-    /// Largest SGE list observed in the scatter-gather arm.
+    /// Largest SGE list observed in the striped-IO arm.
     pub sge_entries_max: u64,
     /// Virtual ns per warm KV put, staged publish (`inline_max` 0).
     pub staged_put_ns: u64,
@@ -97,8 +97,8 @@ pub struct RawSpeedStats {
 }
 
 impl RawSpeedStats {
-    /// Whether the scatter-gather arm rang at most one doorbell per QP per
-    /// striped IO — the headline posting-cost claim.
+    /// Whether the striped-IO arm rang at most one doorbell per QP per IO —
+    /// the headline posting-cost claim.
     pub fn sge_one_doorbell_per_qp(&self) -> bool {
         self.sge.read_doorbells <= self.qps && self.sge.write_doorbells <= self.qps
     }
@@ -132,8 +132,8 @@ fn verify(region: &Region, addr: u64, off: u64, len: u64) -> u64 {
 
 /// Runs all deterministic arms and collects the stats.
 pub fn measure() -> RawSpeedStats {
-    let (per_piece, _, _, mut data_errors) = measure_sge(false);
-    let (sge, qps, sge_entries_max, errs) = measure_sge(true);
+    let (per_piece, _, _, mut data_errors) = measure_sge(true);
+    let (sge, qps, sge_entries_max, errs) = measure_sge(false);
     data_errors += errs;
     let (staged_put_ns, _, _, _, errs) = measure_inline(0);
     data_errors += errs;
@@ -154,10 +154,31 @@ pub fn measure() -> RawSpeedStats {
     }
 }
 
-/// One scatter-gather arm: a 16-piece striped region, timed reads and
-/// writes, doorbell/WR counts from the device counters. Returns
+/// One full-region IO through the public API: a single striped
+/// `read_into`/`write_from` of the whole region, or — the per-stripe arm —
+/// one one-stripe call per stripe, all issued at once.
+async fn full_io(region: &Region, buf: DmaBuf, write: bool, per_stripe: bool) {
+    let n = if per_stripe { IO_BYTES / STRIPE } else { 1 };
+    let len = IO_BYTES / n;
+    let ios = (0..n).map(|i| {
+        let (off, part) = (i * len, buf.slice(i * len, len));
+        async move {
+            if write {
+                region.write_from(off, part).await
+            } else {
+                region.read_into(off, part).await
+            }
+        }
+    });
+    for result in sim::join_all(ios).await {
+        result.expect("full-region io");
+    }
+}
+
+/// One gather arm: a 16-piece striped region, timed reads and writes,
+/// doorbell/WR counts from the device counters. Returns
 /// `(arm, qps, sge_entries_max, data_errors)`.
-fn measure_sge(sge: bool) -> (SgeArm, u64, u64, u64) {
+fn measure_sge(per_stripe: bool) -> (SgeArm, u64, u64, u64) {
     let cluster = Cluster::boot(ClusterConfig {
         clients: 1,
         ..ClusterConfig::with_servers(SERVERS)
@@ -172,7 +193,6 @@ fn measure_sge(sge: bool) -> (SgeArm, u64, u64, u64) {
                 .client_with(
                     0,
                     ClientConfig {
-                        sge,
                         ledger: true,
                         ..ClientConfig::default()
                     },
@@ -195,19 +215,20 @@ fn measure_sge(sge: bool) -> (SgeArm, u64, u64, u64) {
                 nodes.dedup();
                 nodes.len() as u64
             };
-            let fill = pattern(0, IO_BYTES);
-            region.write(0, &fill).await.expect("prefill");
             let m = dev.metrics();
             let buf = dev.alloc(IO_BYTES).expect("buf");
-            region.read_into(0, buf).await.expect("warm");
+            dev.write_mem(buf.addr, &pattern(0, IO_BYTES))
+                .expect("fill");
+            full_io(&region, buf, true, per_stripe).await;
+            full_io(&region, buf, false, per_stripe).await;
             let mut errs = 0u64;
 
-            // Timed reads: the whole region in one striped IO per op.
+            // Timed reads: the whole region once per op.
             let db0 = m.counter("rdma.doorbells");
             let wr0 = m.counter("rdma.sge_wrs");
             let t0 = sim.now();
             for _ in 0..OPS {
-                region.read_into(0, buf).await.expect("read");
+                full_io(&region, buf, false, per_stripe).await;
             }
             let read_ns = (sim.now() - t0).as_nanos() as u64 / OPS;
             let read_doorbells = (m.counter("rdma.doorbells") - db0) / OPS;
@@ -218,24 +239,26 @@ fn measure_sge(sge: bool) -> (SgeArm, u64, u64, u64) {
             let db0 = m.counter("rdma.doorbells");
             let t0 = sim.now();
             for _ in 0..OPS {
-                region.write_from(0, buf).await.expect("write");
+                full_io(&region, buf, true, per_stripe).await;
             }
             let write_ns = (sim.now() - t0).as_nanos() as u64 / OPS;
             let write_doorbells = (m.counter("rdma.doorbells") - db0) / OPS;
-            region.read_into(0, buf).await.expect("readback");
+            full_io(&region, buf, false, per_stripe).await;
             errs += verify(&region, buf.addr, 0, IO_BYTES);
             dev.free(buf).expect("free");
 
-            // Ledger post-layer attribution per IO. Every read (warm, timed,
-            // readback) and every write (prefill, timed) is the identical
-            // full-region striped IO, so the per-op mean is exact.
+            // Ledger post-layer attribution per full-region IO. Every read
+            // (warm, timed, readback) and every write (fill, timed) is the
+            // identical IO, so the mean per IO is exact.
             let sums = sim::ledger::summarize(&m);
-            let row = |op: &str| {
-                sums.iter()
+            let per_io = |op: &str| {
+                let s = sums
+                    .iter()
                     .find(|s| s.op == op)
-                    .expect("ledger row for op type")
+                    .expect("ledger row for op type");
+                let calls_per_io = if per_stripe { IO_BYTES / STRIPE } else { 1 };
+                s.post_ns * calls_per_io / s.count
             };
-            let (rd, wr) = (row("read"), row("write"));
             let entries_max = m.histogram("rdma.sge_entries").map_or(0, |h| h.max());
             (
                 SgeArm {
@@ -243,8 +266,8 @@ fn measure_sge(sge: bool) -> (SgeArm, u64, u64, u64) {
                     write_doorbells,
                     read_ns,
                     write_ns,
-                    read_post_ns: rd.post_ns / rd.count,
-                    write_post_ns: wr.post_ns / wr.count,
+                    read_post_ns: per_io("read"),
+                    write_post_ns: per_io("write"),
                     sge_wrs_per_read,
                 },
                 qps,
@@ -313,7 +336,7 @@ fn measure_inline(inline_max: u64) -> (u64, u64, u64, u64, u64) {
 }
 
 /// Per-op cost attribution for the full op set under the raw-speed
-/// configuration (scatter-gather on, inline publishes on, ledger enabled).
+/// configuration (inline publishes on, ledger enabled).
 ///
 /// Same shape as E12's profile — all-integer and [`Eq`], so two seeded runs
 /// must produce an identical profile; the report test asserts it, and the
@@ -332,8 +355,8 @@ impl OpsProfile {
             .expect("profiled op type")
     }
 
-    /// Whether the scatter-gather striped reads rang at most one doorbell
-    /// per QP (the `read` rows cover a 16-piece IO over [`SERVERS`] QPs).
+    /// Whether the striped reads rang at most one doorbell per QP (the
+    /// `read` rows cover a 16-piece IO over [`SERVERS`] QPs).
     pub fn read_doorbells_le_qps(&self) -> bool {
         self.row("read").doorbells_max <= SERVERS as u64
     }
@@ -358,7 +381,6 @@ pub fn ops_profile() -> OpsProfile {
                 0,
                 ClientConfig {
                     ledger: true,
-                    sge: true,
                     ..ClientConfig::default()
                 },
             )
@@ -485,7 +507,7 @@ pub fn run() -> Vec<Table> {
     let stats = measure();
     let mut t1 = Table::new(
         format!(
-            "E16a: scatter-gather WRs, {}-piece striped IO over {} QPs ({} ops/arm)",
+            "E16a: gather WRs, one {}-piece striped IO over {} QPs vs one-stripe IOs ({} ops/arm)",
             stats.pieces, stats.qps, OPS
         ),
         &[
@@ -498,8 +520,8 @@ pub fn run() -> Vec<Table> {
         ],
     );
     for (name, arm) in [
-        ("per-piece", &stats.per_piece),
-        ("scatter-gather", &stats.sge),
+        ("16 one-stripe IOs", &stats.per_piece),
+        ("one striped IO", &stats.sge),
     ] {
         t1.row(vec![
             name.to_string(),
@@ -511,7 +533,7 @@ pub fn run() -> Vec<Table> {
         ]);
     }
     t1.note(format!(
-        "one doorbell per QP with scatter-gather: {}; largest SGE list: {} entries; IO size {}",
+        "one doorbell per QP for the striped IO: {}; largest SGE list: {} entries; IO size {}",
         stats.sge_one_doorbell_per_qp(),
         stats.sge_entries_max,
         fmt_bytes(IO_BYTES)
@@ -593,8 +615,8 @@ mod tests {
         assert_eq!(stats.data_errors, 0, "read-back verification failed");
         assert_eq!(stats.pieces, 16, "arm must exercise a 16-piece IO");
         assert_eq!(stats.qps, SERVERS as u64, "striping must touch every QP");
-        // Per-piece posting rings one doorbell per piece; scatter-gather
-        // one per QP.
+        // One-stripe IOs ring one doorbell per piece; the striped IO one
+        // gather WR per QP.
         assert_eq!(stats.per_piece.read_doorbells, stats.pieces);
         assert_eq!(stats.sge.read_doorbells, stats.qps);
         assert!(

@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use fabric::{Fabric, FabricConfig};
-use rdma::{Access, CompletionQueue, RdmaConfig, RdmaDevice};
+use rdma::{Access, CompletionQueue, RdmaConfig, RdmaDevice, Wr};
 use sim::Sim;
 
 use crate::table::{fmt_bytes, fmt_dur, Table};
@@ -59,7 +59,7 @@ fn measure(size: u64) -> (Duration, Duration) {
         // Warm up once each direction.
         qp.post_read(0, local, target).expect("post");
         cq.next().await;
-        qp.post_write(0, local, target).expect("post");
+        qp.post(&[Wr::write(0, local, target)]).expect("post");
         cq.next().await;
 
         let sim = client.sim().clone();
@@ -72,7 +72,7 @@ fn measure(size: u64) -> (Duration, Duration) {
 
         let t0 = sim.now();
         for i in 0..REPS {
-            qp.post_write(i, local, target).expect("post");
+            qp.post(&[Wr::write(i, local, target)]).expect("post");
             cq.next().await;
         }
         let write = (sim.now() - t0) / REPS as u32;

@@ -89,7 +89,7 @@
 //! the *same* tagged word for most of their wait budget ([`LockWatch`]) —
 //! orders of magnitude past a healthy hold time.
 
-use rdma::{CompletionQueue, CqStatus, CqeOpcode, DmaBuf, Qp, RdmaDevice, RemoteAddr};
+use rdma::{CompletionQueue, CqStatus, CqeOpcode, DmaBuf, Qp, RdmaDevice, RemoteAddr, Wr};
 use sim::{OpLedger, Phase, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -2109,7 +2109,7 @@ impl KvTable {
         let result = async {
             {
                 let _scope = self.dev.ledger_scope(&cas_ledger);
-                qp.post_cas(1, self.scratch.slice(0, 8), remote, expect, swap)?;
+                qp.post(&[Wr::cas(1, self.scratch.slice(0, 8), remote, expect, swap)])?;
             }
             loop {
                 let cqe = self.atomic_cq.next().await;

@@ -131,6 +131,49 @@ mod tests {
     }
 
     #[test]
+    fn striped_read_lands_a_servers_lone_piece() {
+        // 4 stripes over 3 servers: one server holds two pieces of the IO,
+        // the other two exactly one each, so the read posts one two-element
+        // and two one-element gather WRs. Every byte must land, plain and
+        // verified alike.
+        let cluster = boot(3);
+        let sim = cluster.sim.clone();
+        sim.block_on(async move {
+            let client = cluster.client(0).await.unwrap();
+            let dev = client.device().clone();
+            let data: Vec<u8> = (0..16 * 1024u32).map(|i| (i * 13 % 251) as u8).collect();
+            for checksums in [false, true] {
+                let opts = AllocOptions {
+                    stripe_size: 4096,
+                    checksums,
+                    ..AllocOptions::default()
+                };
+                let name = format!("lone-{checksums}");
+                let region = client.alloc(&name, 64 * 1024, opts).await.unwrap();
+                let mut per_node = std::collections::HashMap::new();
+                for g in &region.desc().groups[..4] {
+                    *per_node.entry(g.replicas[0].node).or_insert(0) += 1;
+                }
+                let mut counts: Vec<u32> = per_node.into_values().collect();
+                counts.sort_unstable();
+                assert_eq!(counts, [1, 1, 2], "layout under test");
+
+                region.write(0, &data).await.unwrap();
+                let dst = dev.alloc(data.len() as u64).unwrap();
+                let doorbells = dev.metrics().counter("rdma.doorbells");
+                region.read_into(0, dst).await.unwrap();
+                assert_eq!(
+                    dev.metrics().counter("rdma.doorbells") - doorbells,
+                    3,
+                    "one gather WR per server"
+                );
+                assert_eq!(dev.read_mem(dst.addr, data.len() as u64).unwrap(), data);
+                dev.free(dst).unwrap();
+            }
+        });
+    }
+
+    #[test]
     fn region_striped_across_all_servers() {
         let cluster = boot(4);
         let sim = cluster.sim.clone();

@@ -5,12 +5,15 @@
 //! descriptor — no master involvement, no remote CPU.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::fmt;
+use std::future::{poll_fn, Future};
+use std::ops::Range;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::Poll;
 use std::time::Duration;
 
-use rdma::{BatchWr, CqStatus, DmaBuf, RdmaError, Sge, SgeList, MAX_SGE};
+use rdma::{CqStatus, DmaBuf, RdmaError, SgeList, Wr, WrOp, MAX_SGE};
 use sim::channel::oneshot;
 use sim::sync::Semaphore;
 use sim::{OpLedger, Phase};
@@ -37,9 +40,13 @@ type ReadWait = (Piece, DmaBuf, usize, bool, oneshot::Receiver<CqStatus>);
 /// every replica rejected the rkey — the signal a region was freed under the
 /// reader) instead of a generic timeout.
 type ReadRetry = (Piece, DmaBuf, usize, bool, CqStatus);
-/// One element of a scatter-gather posting group: `(piece, buffer, replica)`.
-/// Every element of a group resolves to the same memory server.
-type SgeItem = (Piece, DmaBuf, usize);
+/// One gather element to post: `(piece, buffer, replica)` — the piece's
+/// bytes move between `buffer` (at `piece.buf_offset`) and the replica's
+/// extent.
+type Item = (Piece, DmaBuf, usize);
+/// A posted gather WR: the range of the caller's elements it carries, and
+/// its completion receiver.
+type Posted = (Range<usize>, oneshot::Receiver<CqStatus>);
 
 /// Recycled IO scratch shared by all clones of a [`Region`] handle: staging
 /// `DmaBuf`s for checksummed stripe assembly/verification and a host-side
@@ -346,14 +353,14 @@ impl Region {
     }
 
     /// [`write_l`](Self::write_l) for small host-resident images: posts the
-    /// payload as *inline* WRITE WRs ([`Qp::post_write_inline`](rdma::Qp::post_write_inline))
+    /// payload as *inline* WRITE WRs ([`Wr::inline`](rdma::Wr#structfield.inline))
     /// when the device's [`inline_max`](rdma::RdmaConfig::inline_max)
-    /// permits, so the publish needs no staging DMA buffer and pays the
-    /// cheaper inline post cost. Falls back to the staged path when inline
-    /// posting is disabled (the default), the image is too large, the
-    /// region carries stripe checksums, or any inline WR fails — region
-    /// writes are idempotent, so re-writing replicas that already landed
-    /// is safe.
+    /// permits, so the publish pays the cheaper inline post cost and its
+    /// staging buffer is free again as soon as the WRs are posted. Falls
+    /// back to the staged path when inline posting is disabled (the
+    /// default), the image is too large, the region carries stripe
+    /// checksums, or any inline WR fails — region writes are idempotent, so
+    /// re-writing replicas that already landed is safe.
     pub(crate) async fn write_inline_l(
         &self,
         offset: u64,
@@ -365,29 +372,15 @@ impl Region {
         if self.checksums || len == 0 || len > s.dev.config().inline_max {
             return self.write_l(offset, bytes, ledger).await;
         }
-        let pieces = self.layout.borrow().pieces(offset, len)?;
-        let mut waits: Vec<oneshot::Receiver<CqStatus>> = Vec::new();
-        let mut ok = true;
-        'post: for piece in &pieces {
-            for r in 0..self.replicas(piece.group) {
-                match self.post_piece_inline(piece, bytes, r, ledger) {
-                    Ok(rx) => waits.push(rx),
-                    Err(_) => {
-                        ok = false;
-                        break 'post;
-                    }
-                }
-            }
+        let staging = self.take_staging(len)?;
+        let failed = async {
+            s.dev.write_mem(staging.addr, bytes)?;
+            let mut items = self.write_items(offset, staging)?;
+            Ok::<_, RStoreError>(self.write_round(&mut items, true, ledger).await)
         }
-        if !waits.is_empty() {
-            ledger.rtt();
-        }
-        for rx in waits {
-            if !matches!(rx.await, Some(CqStatus::Success)) {
-                ok = false;
-            }
-        }
-        if ok {
+        .await;
+        self.put_staging(staging);
+        if failed?.is_empty() {
             s.dev.metrics().incr("rstore.inline.writes");
             s.dev.metrics().add("rstore.inline.bytes", len);
             return Ok(());
@@ -470,74 +463,50 @@ impl Region {
             return self.read_into_ck(offset, dst, ledger).await;
         }
         let pieces = self.layout.borrow().pieces(offset, dst.len)?;
-        if s.cfg.sge && pieces.len() > 1 {
-            let items = pieces.into_iter().map(|p| (p, dst)).collect();
-            return self.read_pieces_sge(items, ledger).await;
-        }
-        // Post every piece's primary read in parallel. The bool marks
-        // whether the replica has already spent its one reconnect retry.
-        let mut waits: Vec<ReadWait> = Vec::new();
-        let mut retry: Vec<ReadRetry> = Vec::new();
-        for piece in pieces {
-            match self.post_piece(&piece, dst, Dir::Read, 0, ledger) {
-                Ok(rx) => waits.push((piece, dst, 0, false, rx)),
-                Err(_) => retry.push((piece, dst, 0, false, CqStatus::Timeout)),
-            }
-        }
-        self.drain_reads(waits, retry, ledger).await
+        let mut items: Vec<Item> = pieces.into_iter().map(|p| (p, dst, 0)).collect();
+        self.read_round(&mut items, ledger).await
     }
 
-    /// Scatter-gather read round ([`ClientConfig::sge`](crate::client::ClientConfig::sge)):
-    /// primary reads are grouped by memory server and each group posts as
-    /// ONE multi-element WR — one doorbell, one CQE — in chunks of
-    /// [`MAX_SGE`]. A group whose WR fails (the CQE folds the first failing
-    /// element's status over the whole WR) falls back to per-piece posting
-    /// through [`drain_reads`](Self::drain_reads), which grants the usual
-    /// reconnect-then-advance failover per piece.
-    async fn read_pieces_sge(&self, items: Vec<(Piece, DmaBuf)>, ledger: &OpLedger) -> Result<()> {
-        let mut by_node: BTreeMap<u32, Vec<SgeItem>> = BTreeMap::new();
-        for (piece, buf) in items {
-            let node = self.extent(piece.group, 0).node;
-            by_node.entry(node).or_default().push((piece, buf, 0));
-        }
-        let mut waits: Vec<(Vec<SgeItem>, oneshot::Receiver<CqStatus>)> = Vec::new();
-        let mut retry: Vec<ReadRetry> = Vec::new();
-        for group in by_node.into_values() {
-            for chunk in group.chunks(MAX_SGE) {
-                match self.post_piece_group(chunk, Dir::Read, ledger) {
-                    Ok(rx) => waits.push((chunk.to_vec(), rx)),
-                    Err(_) => retry.extend(
-                        chunk
-                            .iter()
-                            .map(|&(p, b, r)| (p, b, r, false, CqStatus::Timeout)),
-                    ),
-                }
-            }
-        }
-        if !waits.is_empty() {
+    /// One round of primary reads: `items` go out grouped per memory server
+    /// ([`post_grouped`](Self::post_grouped)) and are awaited as one round
+    /// trip. Every piece of a WR that failed — the CQE folds the first
+    /// failing element's status over the whole WR — or failed to post then
+    /// takes [`drain_reads`](Self::drain_reads)' per-piece failover.
+    async fn read_round(&self, items: &mut [Item], ledger: &OpLedger) -> Result<()> {
+        let (posted, unposted) =
+            self.post_grouped(items, |&it| it, Dir::Read, false, MAX_SGE, ledger);
+        let mut retry: Vec<ReadRetry> = unposted
+            .into_iter()
+            .flat_map(|range| &items[range])
+            .map(|&(p, b, r)| (p, b, r, false, CqStatus::Timeout))
+            .collect();
+        if !posted.is_empty() {
             ledger.rtt();
         }
-        for (group, rx) in waits {
+        for (range, rx) in posted {
             let status = rx.await.unwrap_or(CqStatus::Flushed);
             if status != CqStatus::Success {
-                retry.extend(group.into_iter().map(|(p, b, r)| (p, b, r, false, status)));
+                retry.extend(
+                    items[range]
+                        .iter()
+                        .map(|&(p, b, r)| (p, b, r, false, status)),
+                );
             }
         }
-        self.drain_reads(Vec::new(), retry, ledger).await
+        self.drain_reads(retry, ledger).await
     }
 
     /// Reads many `(offset, dst)` pairs as one posting round.
     ///
-    /// Where [`read_into`](Self::read_into) rings one doorbell per stripe
-    /// piece, this groups every primary read by memory server and posts each
-    /// group with [`rdma::Qp::post_batch`] — one doorbell per
-    /// [`RdmaConfig::max_batch`](rdma::RdmaConfig::max_batch) pieces — before
-    /// awaiting any completion. Failover is still per piece with exactly
+    /// Like [`read_into`](Self::read_into), but the pieces of every pair
+    /// are grouped per memory server together — one gather WR (one doorbell,
+    /// one CQE) per [`MAX_SGE`] pieces per server — and posted before any
+    /// completion is awaited. Failover is still per piece with exactly
     /// `read_into`'s reconnect-then-advance semantics; retry rounds post
     /// individually (failures are rare and batching them buys nothing).
     ///
-    /// On checksummed regions each pair takes the verified (pipelined) read
-    /// path instead; doorbell batching applies to plain regions only.
+    /// On checksummed regions each pair takes the verified (windowed) read
+    /// path in turn; grouping across pairs applies to plain regions only.
     ///
     /// # Errors
     ///
@@ -591,97 +560,24 @@ impl Region {
         }
         // Resolve every pair up front so an out-of-range IO fails the call
         // before a single byte is posted.
-        let mut by_node: BTreeMap<u32, Vec<(Piece, DmaBuf)>> = BTreeMap::new();
+        let mut items: Vec<Item> = Vec::new();
         for &(offset, dst) in ios {
-            for piece in self.layout.borrow().pieces(offset, dst.len)? {
-                let node = self.extent(piece.group, 0).node;
-                by_node.entry(node).or_default().push((piece, dst));
-            }
+            let pieces = self.layout.borrow().pieces(offset, dst.len)?;
+            items.extend(pieces.into_iter().map(|p| (p, dst, 0)));
         }
-        if s.cfg.sge {
-            // Scatter-gather mode: the same per-node grouping, but each
-            // group of up to MAX_SGE pieces becomes ONE WR instead of one
-            // WR per piece.
-            let items = by_node.into_values().flatten().collect();
-            return self.read_pieces_sge(items, ledger).await;
-        }
-        let mut waits: Vec<ReadWait> = Vec::new();
-        let mut retry: Vec<ReadRetry> = Vec::new();
-        for (node, items) in by_node {
-            let qp = s.conns.borrow().get(&node).cloned();
-            let Some(qp) = qp else {
-                // No connection: send the whole group through the failover
-                // path, which grants the usual re-dial retry.
-                retry.extend(
-                    items
-                        .into_iter()
-                        .map(|(p, b)| (p, b, 0, false, CqStatus::Timeout)),
-                );
-                continue;
-            };
-            let mut wrs = Vec::with_capacity(items.len());
-            let mut regs = Vec::with_capacity(items.len());
-            for (piece, buf) in &items {
-                let extent = self.extent(piece.group, 0);
-                let remote = rdma::RemoteAddr {
-                    addr: extent.addr + piece.offset_in_stripe,
-                    rkey: rdma::RKey(extent.rkey),
-                };
-                let wr_id = s.next_wr.get();
-                s.next_wr.set(wr_id + 1);
-                let (tx, rx) = oneshot::channel();
-                s.pending.borrow_mut().insert(wr_id, tx);
-                s.outstanding.add(1);
-                // Every WR stays signaled: the client's completion router
-                // accounts outstanding IO per CQE, so a suppressed success
-                // would leak an outstanding count and a pending waiter.
-                wrs.push(BatchWr::read(
-                    wr_id,
-                    buf.slice(piece.buf_offset, piece.len),
-                    remote,
-                ));
-                regs.push((wr_id, rx));
-            }
-            let posted = {
-                let _scope = s.dev.ledger_scope(ledger);
-                qp.post_batch(&wrs)
-            };
-            match posted {
-                Ok(()) => {
-                    for ((piece, buf), (wr_id, rx)) in items.into_iter().zip(regs) {
-                        self.arm_backstop(wr_id, piece.len);
-                        s.dev.metrics().add("rstore.read_bytes", piece.len);
-                        waits.push((piece, buf, 0, false, rx));
-                    }
-                }
-                Err(_) => {
-                    // Nothing posted (post_batch validates before posting,
-                    // and a QP error rejects the whole list): unwind the
-                    // registrations and retry piece-by-piece.
-                    for ((piece, buf), (wr_id, _rx)) in items.into_iter().zip(regs) {
-                        s.pending.borrow_mut().remove(&wr_id);
-                        s.outstanding.done();
-                        retry.push((piece, buf, 0, false, CqStatus::Timeout));
-                    }
-                }
-            }
-        }
-        self.drain_reads(waits, retry, ledger).await
+        self.read_round(&mut items, ledger).await
     }
 
-    /// Awaits a round of posted reads and runs the replica-failover loop
-    /// until every piece has landed or some piece exhausts its replicas.
+    /// Runs the replica-failover loop over reads whose first attempt
+    /// failed, until every piece has landed or some piece exhausts its
+    /// replicas.
     ///
     /// A failed replica is first granted one reconnect retry — its QP may be
     /// broken while the server is fine — and only advances to the next
     /// replica once that retry fails or the re-dial is refused (backoff
     /// gate, dead node). A piece that exhausts its replicas fails the read.
-    async fn drain_reads(
-        &self,
-        mut waits: Vec<ReadWait>,
-        mut retry: Vec<ReadRetry>,
-        ledger: &OpLedger,
-    ) -> Result<()> {
+    async fn drain_reads(&self, mut retry: Vec<ReadRetry>, ledger: &OpLedger) -> Result<()> {
+        let mut waits: Vec<ReadWait> = Vec::new();
         let sim = &self.client.shared.sim;
         let trace = ledger.optrace();
         // One retry span covers the whole recovery tail: opened at the first
@@ -715,7 +611,9 @@ impl Region {
                 if !redialed {
                     let node = self.extent(piece.group, replica).node;
                     if self.client.redial(node).await.is_ok() {
-                        if let Ok(rx) = self.post_piece(&piece, buf, Dir::Read, replica, ledger) {
+                        if let Ok(rx) =
+                            self.post_wr([(piece, buf, replica)], Dir::Read, false, ledger)
+                        {
                             ledger.retry();
                             next_round.push((piece, buf, replica, true, rx));
                             continue;
@@ -731,7 +629,7 @@ impl Region {
                 }
                 ledger.failover();
                 trace.mark(Phase::Failover, sim.now());
-                match self.post_piece(&piece, buf, Dir::Read, next, ledger) {
+                match self.post_wr([(piece, buf, next)], Dir::Read, false, ledger) {
                     Ok(rx) => next_round.push((piece, buf, next, false, rx)),
                     Err(_) => retry.push((piece, buf, next, false, status)),
                 }
@@ -789,77 +687,54 @@ impl Region {
         if self.checksums {
             return self.write_from_ck(offset, src, ledger).await;
         }
+        let mut items = self.write_items(offset, src)?;
+        let failed = self.write_round(&mut items, false, ledger).await;
+        self.recover_failed_writes(failed, src, ledger).await
+    }
+
+    /// Every `(piece, replica)` pair a write of `src` at `offset` must
+    /// reach: all replicas of all touched stripe pieces.
+    fn write_items(&self, offset: u64, src: DmaBuf) -> Result<Vec<Item>> {
         let pieces = self.layout.borrow().pieces(offset, src.len)?;
-        if s.cfg.sge {
-            let fanout: usize = pieces.iter().map(|p| self.replicas(p.group)).sum();
-            if fanout > 1 {
-                return self.write_pieces_sge(&pieces, src, ledger).await;
-            }
-        }
-        let mut waits: Vec<(Piece, usize, oneshot::Receiver<CqStatus>)> = Vec::new();
-        let mut failed: Vec<(Piece, usize)> = Vec::new();
-        for piece in &pieces {
-            for r in 0..self.replicas(piece.group) {
-                match self.post_piece(piece, src, Dir::Write, r, ledger) {
-                    Ok(rx) => waits.push((*piece, r, rx)),
-                    Err(_) => failed.push((*piece, r)),
-                }
-            }
-        }
-        // All replicas of all pieces fly in parallel: one round trip.
-        if !waits.is_empty() {
-            ledger.rtt();
-        }
-        for (piece, r, rx) in waits {
-            if !matches!(rx.await, Some(CqStatus::Success)) {
-                failed.push((piece, r));
-            }
-        }
-        self.recover_failed_writes(failed, src, ledger).await
-    }
-
-    /// Scatter-gather write round: every (piece, replica) pair landing on
-    /// one memory server posts as one multi-element WR. A failed WR drops
-    /// all its pairs into the per-piece recovery round (writes are
-    /// idempotent, so re-writing pairs that already landed is safe).
-    async fn write_pieces_sge(
-        &self,
-        pieces: &[Piece],
-        src: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let mut by_node: BTreeMap<u32, Vec<SgeItem>> = BTreeMap::new();
+        let mut items = Vec::with_capacity(pieces.len());
         for piece in pieces {
-            for r in 0..self.replicas(piece.group) {
-                let node = self.extent(piece.group, r).node;
-                by_node.entry(node).or_default().push((*piece, src, r));
-            }
+            items.extend((0..self.replicas(piece.group)).map(|r| (piece, src, r)));
         }
-        let mut waits: Vec<(Vec<SgeItem>, oneshot::Receiver<CqStatus>)> = Vec::new();
-        let mut failed: Vec<(Piece, usize)> = Vec::new();
-        for group in by_node.into_values() {
-            for chunk in group.chunks(MAX_SGE) {
-                match self.post_piece_group(chunk, Dir::Write, ledger) {
-                    Ok(rx) => waits.push((chunk.to_vec(), rx)),
-                    Err(_) => failed.extend(chunk.iter().map(|&(p, _, r)| (p, r))),
-                }
-            }
-        }
-        if !waits.is_empty() {
-            ledger.rtt();
-        }
-        for (group, rx) in waits {
-            if !matches!(rx.await, Some(CqStatus::Success)) {
-                failed.extend(group.into_iter().map(|(p, _, r)| (p, r)));
-            }
-        }
-        self.recover_failed_writes(failed, src, ledger).await
+        Ok(items)
     }
 
-    /// Recovery round shared by the per-piece and scatter-gather write
-    /// paths: a write must reach every replica, so each failed
-    /// (piece, replica) gets one re-dial plus repost; a replica that
-    /// stays unreachable fails the IO.
+    /// One round of writes: `items` go out grouped per memory server
+    /// ([`post_grouped`](Self::post_grouped)), all in flight at once (one
+    /// round trip). Returns the `(piece, replica)` pairs of every WR that
+    /// failed or failed to post — writes are idempotent, so re-writing the
+    /// pairs of a failed WR that did land is safe.
+    async fn write_round(
+        &self,
+        items: &mut [Item],
+        inline: bool,
+        ledger: &OpLedger,
+    ) -> Vec<(Piece, usize)> {
+        let (posted, unposted) =
+            self.post_grouped(items, |&it| it, Dir::Write, inline, MAX_SGE, ledger);
+        let mut failed: Vec<(Piece, usize)> = unposted
+            .into_iter()
+            .flat_map(|range| &items[range])
+            .map(|&(p, _, r)| (p, r))
+            .collect();
+        if !posted.is_empty() {
+            ledger.rtt();
+        }
+        for (range, rx) in posted {
+            if !matches!(rx.await, Some(CqStatus::Success)) {
+                failed.extend(items[range].iter().map(|&(p, _, r)| (p, r)));
+            }
+        }
+        failed
+    }
+
+    /// Recovery round of a plain write: a write must reach every replica,
+    /// so each failed (piece, replica) gets one re-dial plus repost; a
+    /// replica that stays unreachable fails the IO.
     async fn recover_failed_writes(
         &self,
         failed: Vec<(Piece, usize)>,
@@ -878,7 +753,7 @@ impl Region {
                 if self.client.redial(node).await.is_err() {
                     return Err(RStoreError::Io(CqStatus::Timeout));
                 }
-                let Ok(rx) = self.post_piece(&piece, src, Dir::Write, r, ledger) else {
+                let Ok(rx) = self.post_wr([(piece, src, r)], Dir::Write, false, ledger) else {
                     return Err(RStoreError::Io(CqStatus::Timeout));
                 };
                 ledger.retry();
@@ -906,97 +781,97 @@ impl Region {
     /// reported to the master in the background so the repair task can
     /// re-replicate it.
     ///
-    /// Stripes are verified in a pipeline: up to
+    /// Stripes move through a bounded window, issued and awaited in this
+    /// one task: at most
     /// [`ClientConfig::pipeline_depth`](crate::client::ClientConfig::pipeline_depth)
-    /// stripe reads are kept in flight at once, so verification of one
-    /// stripe overlaps the fabric round trip of the next instead of
-    /// post→await→post serialization.
+    /// stripes (and their staging buffers) are in flight, and each refill
+    /// goes out grouped per memory server into gather WRs of at most
+    /// `min(MAX_SGE, pipeline_depth)` stripes — one round trip per refill.
+    /// Verification of a landed WR overlaps the fabric round trips of the
+    /// rest. At depth 1 this is the serial post→await→post loop; at a depth
+    /// of at least the stripe count, one grouped round. A stripe whose WR
+    /// failed or whose CRC does not match continues its own failover
+    /// ([`read_piece_verified_into`](Self::read_piece_verified_into)).
+    /// A failure stops further issue; the window drains, and the error of
+    /// the first failing stripe in piece order wins.
     async fn read_into_ck(&self, offset: u64, dst: DmaBuf, ledger: &OpLedger) -> Result<()> {
         let pieces = self.layout.borrow().pieces(offset, dst.len)?;
-        if self.client.shared.cfg.sge && pieces.len() > 1 {
-            return self.read_into_ck_sge(pieces, dst, ledger).await;
-        }
-        let ledger = ledger.clone();
-        self.pipeline_ck(pieces, move |this, piece| {
-            let ledger = ledger.clone();
-            async move { this.read_piece_verified(&piece, dst, &ledger).await }
-        })
-        .await
-    }
-
-    /// Scatter-gather variant of the verified read: the full-stripe fetches
-    /// (data + trailer each) of all touched stripes are grouped by memory
-    /// server and posted as one multi-element WR per group — one doorbell
-    /// and one CQE where the pipelined path posts one WR per stripe.
-    /// Verification stays client-side per stripe; any stripe whose group WR
-    /// failed or whose CRC does not match falls back to
-    /// [`read_piece_verified`](Self::read_piece_verified), which re-reads
-    /// with the usual per-replica failover and corruption reporting.
-    async fn read_into_ck_sge(
-        &self,
-        pieces: Vec<Piece>,
-        dst: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let full: Vec<Piece> = pieces
-            .iter()
-            .map(|p| Piece {
-                group: p.group,
-                offset_in_stripe: 0,
-                len: self.stripe_len(p.group) + CK_BYTES,
-                buf_offset: 0,
+        let depth = self.client.shared.cfg.pipeline_depth.max(1);
+        let full = |i: usize| Piece {
+            group: pieces[i].group,
+            offset_in_stripe: 0,
+            len: self.stripe_len(pieces[i].group) + CK_BYTES,
+            buf_offset: 0,
+        };
+        // Every issued stripe as `(piece index, staging)`, in issue order;
+        // a WR in flight owns a range of it.
+        let mut issued: Vec<(usize, DmaBuf)> = Vec::with_capacity(pieces.len().min(depth));
+        let mut flights: Vec<Posted> = Vec::new();
+        let (mut inflight, mut peak) = (0, 0);
+        let mut first_err: Option<(usize, RStoreError)> = None;
+        loop {
+            let next = issued.len();
+            if first_err.is_none() && next < pieces.len() && inflight < depth {
+                let n = (depth - inflight).min(pieces.len() - next);
+                for i in next..next + n {
+                    match self.take_staging(full(i).len) {
+                        Ok(staging) => issued.push((i, staging)),
+                        Err(e) => {
+                            keep_first(&mut first_err, i, e);
+                            break;
+                        }
+                    }
+                }
+                inflight += issued.len() - next;
+                peak = peak.max(inflight);
+                let (posted, unposted) = self.post_grouped(
+                    &mut issued[next..],
+                    |&(i, staging)| (full(i), staging, 0),
+                    Dir::Read,
+                    false,
+                    depth.min(MAX_SGE),
+                    ledger,
+                );
+                if !posted.is_empty() {
+                    ledger.rtt();
+                }
+                let shift = |r: Range<usize>| r.start + next..r.end + next;
+                flights.extend(posted.into_iter().map(|(r, rx)| (shift(r), rx)));
+                // A WR that could not post settles like one that timed out.
+                for range in unposted {
+                    let (tx, rx) = oneshot::channel();
+                    tx.send(CqStatus::Timeout);
+                    flights.push((shift(range), rx));
+                }
+            }
+            if flights.is_empty() {
+                break;
+            }
+            // Settle whichever WR completes first.
+            let (k, status) = poll_fn(|cx| {
+                for (k, (_, rx)) in flights.iter_mut().enumerate() {
+                    if let Poll::Ready(status) = Pin::new(rx).poll(cx) {
+                        return Poll::Ready((k, status.unwrap_or(CqStatus::Flushed)));
+                    }
+                }
+                Poll::Pending
             })
-            .collect();
-        let mut stagings = Vec::with_capacity(pieces.len());
-        for f in &full {
-            stagings.push(self.take_staging(f.len)?);
-        }
-        let result = async {
-            let mut by_node: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-            for (i, p) in pieces.iter().enumerate() {
-                by_node
-                    .entry(self.extent(p.group, 0).node)
-                    .or_default()
-                    .push(i);
-            }
-            let mut waits: Vec<(Vec<usize>, oneshot::Receiver<CqStatus>)> = Vec::new();
-            let mut fallback: Vec<usize> = Vec::new();
-            for idxs in by_node.into_values() {
-                for chunk in idxs.chunks(MAX_SGE) {
-                    let items: Vec<SgeItem> =
-                        chunk.iter().map(|&i| (full[i], stagings[i], 0)).collect();
-                    match self.post_piece_group(&items, Dir::Read, ledger) {
-                        Ok(rx) => waits.push((chunk.to_vec(), rx)),
-                        Err(_) => fallback.extend_from_slice(chunk),
-                    }
+            .await;
+            let (range, _) = flights.remove(k);
+            for &(i, staging) in &issued[range] {
+                let first = Some(status);
+                let settled = self
+                    .read_piece_verified_into(&pieces[i], dst, staging, ledger, first)
+                    .await;
+                self.put_staging(staging);
+                inflight -= 1;
+                if let Err(e) = settled {
+                    keep_first(&mut first_err, i, e);
                 }
             }
-            if !waits.is_empty() {
-                ledger.rtt();
-            }
-            for (idxs, rx) in waits {
-                let status = rx.await.unwrap_or(CqStatus::Flushed);
-                for &i in &idxs {
-                    if status != CqStatus::Success
-                        || !self.verify_and_copy_stripe(&pieces[i], stagings[i], dst)?
-                    {
-                        fallback.push(i);
-                    }
-                }
-            }
-            // Fallback: the per-stripe verified read owns failover,
-            // corruption accounting, and master reporting.
-            for i in fallback {
-                ledger.retry();
-                self.read_piece_verified(&pieces[i], dst, ledger).await?;
-            }
-            Ok(())
         }
-        .await;
-        for staging in stagings {
-            self.put_staging(staging);
-        }
-        result
+        self.note_inflight_peak(peak as u64);
+        first_err.map_or(Ok(()), |(_, e)| Err(e))
     }
 
     /// Verifies a full stripe sitting in `staging` (data + trailer) and, on
@@ -1026,7 +901,7 @@ impl Region {
 
     /// Runs `op` once per stripe piece under a bounded in-flight window of
     /// [`ClientConfig::pipeline_depth`](crate::client::ClientConfig::pipeline_depth)
-    /// stripes — the pipelining engine behind both verified paths. Pieces
+    /// stripes — the pipelining engine behind verified writes. Pieces
     /// are issued in order and a failure stops further issue, so at depth 1
     /// this is exactly the serial post→await→post loop, including which
     /// stripe's error surfaces: results are joined in piece order and the
@@ -1072,45 +947,36 @@ impl Region {
                 result
             }));
         }
-        // Track the deepest window any pipelined IO reached this run.
-        let metrics = s.dev.metrics();
-        let seen = metrics.counter("rstore.pipeline.inflight_max");
-        if peak.get() > seen {
-            metrics.add("rstore.pipeline.inflight_max", peak.get() - seen);
-        }
+        self.note_inflight_peak(peak.get());
         for result in sim::join_all(handles).await {
             result?;
         }
         Ok(())
     }
 
-    /// Reads and verifies the stripe containing `want`, then copies the
-    /// requested sub-range into `dst`.
-    async fn read_piece_verified(
-        &self,
-        want: &Piece,
-        dst: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let stripe_len = self.stripe_len(want.group);
-        let staging = self.take_staging(stripe_len + CK_BYTES)?;
-        let result = self
-            .read_piece_verified_into(want, dst, staging, ledger)
-            .await;
-        self.put_staging(staging);
-        result
+    /// Tracks the deepest stripe window any verified IO reached this run.
+    fn note_inflight_peak(&self, peak: u64) {
+        let metrics = self.client.shared.dev.metrics();
+        let seen = metrics.counter("rstore.pipeline.inflight_max");
+        if peak > seen {
+            metrics.add("rstore.pipeline.inflight_max", peak - seen);
+        }
     }
 
-    /// The failover loop behind [`read_piece_verified`](Self::read_piece_verified).
-    /// `staging` must hold the full stripe plus trailer; `dst` may alias it
-    /// (used by the read-modify-write path, where the verified stripe is
-    /// wanted in place).
+    /// Reads and verifies the stripe containing `want` into `staging`,
+    /// then copies the requested sub-range into `dst`: the per-stripe
+    /// failover loop of verified reads. `staging` must hold the full stripe
+    /// plus trailer; `dst` may alias it (used by the read-modify-write
+    /// path, where the verified stripe is wanted in place). `first` is the
+    /// outcome of a primary-replica read already posted into `staging` (its
+    /// round trip already charged), or `None` to start by posting one.
     async fn read_piece_verified_into(
         &self,
         want: &Piece,
         dst: DmaBuf,
         staging: DmaBuf,
         ledger: &OpLedger,
+        mut first: Option<CqStatus>,
     ) -> Result<()> {
         let s = &self.client.shared;
         let stripe_len = self.stripe_len(want.group) as usize;
@@ -1129,12 +995,15 @@ impl Region {
         let mut replica = 0usize;
         let mut redialed = false;
         while replica < self.replicas(want.group) {
-            let status = match self.post_piece(&full, staging, Dir::Read, replica, ledger) {
-                Ok(rx) => {
-                    ledger.rtt();
-                    rx.await.unwrap_or(CqStatus::Flushed)
-                }
-                Err(_) => CqStatus::Timeout,
+            let status = match first.take() {
+                Some(status) => status,
+                None => match self.post_wr([(full, staging, replica)], Dir::Read, false, ledger) {
+                    Ok(rx) => {
+                        ledger.rtt();
+                        rx.await.unwrap_or(CqStatus::Flushed)
+                    }
+                    Err(_) => CqStatus::Timeout,
+                },
             };
             access_denied |= status == CqStatus::RemoteAccess;
             if status == CqStatus::Success {
@@ -1235,7 +1104,7 @@ impl Region {
                     len: stripe_len,
                     buf_offset: 0,
                 };
-                self.read_piece_verified_into(&cur, staging, staging, ledger)
+                self.read_piece_verified_into(&cur, staging, staging, ledger, None)
                     .await?;
             }
             // Overlay the new data and recompute the trailer, bouncing
@@ -1257,7 +1126,8 @@ impl Region {
         result
     }
 
-    /// Writes one (full-stripe) piece to every replica, mirroring
+    /// Writes one (full-stripe) piece to every replica — one WR each, as the
+    /// replicas of a stripe live on distinct servers — mirroring
     /// [`write_from`](Self::write_from)'s recovery round: each failed
     /// replica gets one re-dial plus repost, and a replica that stays
     /// unreachable fails the IO.
@@ -1270,7 +1140,7 @@ impl Region {
         let mut waits = Vec::new();
         let mut failed = Vec::new();
         for r in 0..self.replicas(piece.group) {
-            match self.post_piece(piece, buf, Dir::Write, r, ledger) {
+            match self.post_wr([(*piece, buf, r)], Dir::Write, false, ledger) {
                 Ok(rx) => waits.push((r, rx)),
                 Err(_) => failed.push(r),
             }
@@ -1292,7 +1162,7 @@ impl Region {
             if self.client.redial(node).await.is_err() {
                 return Err(RStoreError::Io(CqStatus::Timeout));
             }
-            let Ok(rx) = self.post_piece(piece, buf, Dir::Write, r, ledger) else {
+            let Ok(rx) = self.post_wr([(*piece, buf, r)], Dir::Write, false, ledger) else {
                 return Err(RStoreError::Io(CqStatus::Timeout));
             };
             ledger.retry();
@@ -1350,9 +1220,11 @@ impl Region {
                 Dir::Write => self.replicas(piece.group),
             };
             for r in 0..replicas {
-                // The zero-copy API has no logical-op boundary to attribute
-                // to; its WRs stay unledgered.
-                match self.post_piece(piece, buf, dir, r, &OpLedger::disabled()) {
+                // One WR per piece: the zero-copy API's callers keep many
+                // IOs in flight themselves. It has no logical-op boundary to
+                // attribute to, so its WRs stay unledgered.
+                let ledger = OpLedger::disabled();
+                match self.post_wr([(*piece, buf, r)], dir, false, &ledger) {
                     Ok(rx) => rxs.push(rx),
                     Err(_) => failed = true,
                 }
@@ -1364,136 +1236,96 @@ impl Region {
         })
     }
 
-    /// Posts one piece against one replica, returning the completion
-    /// receiver.
-    fn post_piece(
+    /// Posts `elems` as gather WRs grouped per memory server: a stable sort
+    /// by the server each element's replica lives on (ascending node id,
+    /// the caller's order within a server), then one WR per run of at most
+    /// `cap` same-server elements. Returns the posted WRs as `(range of
+    /// elems, receiver)` in post order, and the ranges whose post failed.
+    fn post_grouped<T>(
         &self,
-        piece: &Piece,
-        buf: DmaBuf,
+        elems: &mut [T],
+        item: impl Fn(&T) -> Item,
         dir: Dir,
-        replica: usize,
+        inline: bool,
+        cap: usize,
         ledger: &OpLedger,
-    ) -> Result<oneshot::Receiver<CqStatus>> {
-        let s = &self.client.shared;
-        let extent = self.extent(piece.group, replica);
-        let conns = s.conns.borrow();
-        let qp = conns
-            .get(&extent.node)
-            .ok_or(RStoreError::Rdma(RdmaError::QpError))?;
-
-        let remote = rdma::RemoteAddr {
-            addr: extent.addr + piece.offset_in_stripe,
-            rkey: rdma::RKey(extent.rkey),
+    ) -> (Vec<Posted>, Vec<Range<usize>>) {
+        let node = |e: &T| {
+            let (piece, _, replica) = item(e);
+            self.extent(piece.group, replica).node
         };
-        let local = buf.slice(piece.buf_offset, piece.len);
-        let wr_id = s.next_wr.get();
-        s.next_wr.set(wr_id + 1);
-        let (tx, rx) = oneshot::channel();
-        s.pending.borrow_mut().insert(wr_id, tx);
-        s.outstanding.add(1);
-        let posted = {
-            let _scope = s.dev.ledger_scope(ledger);
-            match dir {
-                Dir::Read => qp.post_read(wr_id, local, remote),
-                Dir::Write => qp.post_write(wr_id, local, remote),
+        elems.sort_by_key(node);
+        let (mut posted, mut unposted) = (Vec::new(), Vec::new());
+        let mut start = 0;
+        while start < elems.len() {
+            let server = node(&elems[start]);
+            let mut end = start + 1;
+            while end < elems.len() && end - start < cap && node(&elems[end]) == server {
+                end += 1;
             }
-        };
-        if let Err(e) = posted {
-            s.pending.borrow_mut().remove(&wr_id);
-            s.outstanding.done();
-            return Err(e.into());
+            match self.post_wr(elems[start..end].iter().map(&item), dir, inline, ledger) {
+                Ok(rx) => posted.push((start..end, rx)),
+                Err(_) => unposted.push(start..end),
+            }
+            start = end;
         }
-        self.arm_backstop(wr_id, piece.len);
-        let metric = match dir {
-            Dir::Read => "rstore.read_bytes",
-            Dir::Write => "rstore.write_bytes",
-        };
-        s.dev.metrics().add(metric, piece.len);
-        Ok(rx)
+        (posted, unposted)
     }
 
-    /// Posts one *inline* WRITE WR for `piece` of replica `replica`: the
-    /// payload sub-slice is copied into the WQE at post time, so no local
-    /// DMA buffer exists for the NIC to fetch.
-    fn post_piece_inline(
+    /// Posts one WR gathering `items` — 1..=[`MAX_SGE`] of them, all on
+    /// the same memory server — and returns its completion receiver: one
+    /// wr_id, one doorbell, one CQE. The region's only posting helper;
+    /// retries and failover post one-element lists through it.
+    fn post_wr(
         &self,
-        piece: &Piece,
-        bytes: &[u8],
-        replica: usize,
-        ledger: &OpLedger,
-    ) -> Result<oneshot::Receiver<CqStatus>> {
-        let s = &self.client.shared;
-        let extent = self.extent(piece.group, replica);
-        let conns = s.conns.borrow();
-        let qp = conns
-            .get(&extent.node)
-            .ok_or(RStoreError::Rdma(RdmaError::QpError))?;
-        let remote = rdma::RemoteAddr {
-            addr: extent.addr + piece.offset_in_stripe,
-            rkey: rdma::RKey(extent.rkey),
-        };
-        let sub = &bytes[piece.buf_offset as usize..(piece.buf_offset + piece.len) as usize];
-        let wr_id = s.next_wr.get();
-        s.next_wr.set(wr_id + 1);
-        let (tx, rx) = oneshot::channel();
-        s.pending.borrow_mut().insert(wr_id, tx);
-        s.outstanding.add(1);
-        let posted = {
-            let _scope = s.dev.ledger_scope(ledger);
-            qp.post_write_inline(wr_id, sub, remote)
-        };
-        if let Err(e) = posted {
-            s.pending.borrow_mut().remove(&wr_id);
-            s.outstanding.done();
-            return Err(e.into());
-        }
-        self.arm_backstop(wr_id, piece.len);
-        s.dev.metrics().add("rstore.write_bytes", piece.len);
-        Ok(rx)
-    }
-
-    /// Posts one scatter-gather WR covering every `(piece, buffer, replica)`
-    /// item — the caller guarantees all items resolve to the same memory
-    /// server. One wr_id, one completion receiver, one doorbell.
-    fn post_piece_group(
-        &self,
-        items: &[SgeItem],
+        items: impl IntoIterator<Item = Item>,
         dir: Dir,
+        inline: bool,
         ledger: &OpLedger,
     ) -> Result<oneshot::Receiver<CqStatus>> {
         let s = &self.client.shared;
-        let (first, first_replica) = (&items[0].0, items[0].2);
-        let node = self.extent(first.group, first_replica).node;
+        let mut sges: Option<SgeList> = None;
+        let (mut node, mut total) = (0, 0);
+        for (piece, buf, replica) in items {
+            let extent = self.extent(piece.group, replica);
+            let local = buf.slice(piece.buf_offset, piece.len);
+            let remote = rdma::RemoteAddr {
+                addr: extent.addr + piece.offset_in_stripe,
+                rkey: rdma::RKey(extent.rkey),
+            };
+            match sges.as_mut() {
+                None => {
+                    node = extent.node;
+                    sges = Some(SgeList::one(local, remote));
+                }
+                Some(list) => {
+                    debug_assert_eq!(extent.node, node, "gather WR spans servers");
+                    list.push(local, remote)?;
+                }
+            }
+            total += piece.len;
+        }
+        let sges = sges.expect("a WR gathers at least one piece");
         let conns = s.conns.borrow();
         let qp = conns
             .get(&node)
             .ok_or(RStoreError::Rdma(RdmaError::QpError))?;
-        let mut elems = Vec::with_capacity(items.len());
-        let mut total = 0u64;
-        for (piece, buf, replica) in items {
-            let extent = self.extent(piece.group, *replica);
-            debug_assert_eq!(extent.node, node, "SGE group spans servers");
-            elems.push(Sge {
-                local: buf.slice(piece.buf_offset, piece.len),
-                remote: rdma::RemoteAddr {
-                    addr: extent.addr + piece.offset_in_stripe,
-                    rkey: rdma::RKey(extent.rkey),
-                },
-            });
-            total += piece.len;
-        }
-        let sges = SgeList::new(&elems)?;
         let wr_id = s.next_wr.get();
         s.next_wr.set(wr_id + 1);
         let (tx, rx) = oneshot::channel();
         s.pending.borrow_mut().insert(wr_id, tx);
         s.outstanding.add(1);
+        let op = match dir {
+            Dir::Read => WrOp::Read,
+            Dir::Write => WrOp::Write,
+        };
+        let wr = Wr {
+            inline,
+            ..Wr::new(wr_id, op, sges)
+        };
         let posted = {
             let _scope = s.dev.ledger_scope(ledger);
-            match dir {
-                Dir::Read => qp.post_read_sge(wr_id, sges),
-                Dir::Write => qp.post_write_sge(wr_id, sges),
-            }
+            qp.post(&[wr])
         };
         if let Err(e) = posted {
             s.pending.borrow_mut().remove(&wr_id);
@@ -1538,6 +1370,15 @@ impl Region {
 /// which surfaces timeouts instead.
 fn is_stale(e: &RStoreError) -> bool {
     matches!(e, RStoreError::Io(CqStatus::RemoteAccess))
+}
+
+/// Records stripe `i`'s error unless a stripe earlier in piece order
+/// already failed: the error a windowed verified read surfaces is the first
+/// failing stripe's, whatever order the window settled them in.
+fn keep_first(slot: &mut Option<(usize, RStoreError)>, i: usize, e: RStoreError) {
+    if slot.as_ref().is_none_or(|&(j, _)| i < j) {
+        *slot = Some((i, e));
+    }
 }
 
 /// Tracks a batch of posted one-sided operations.

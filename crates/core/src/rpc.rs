@@ -18,7 +18,7 @@ use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use fabric::NodeId;
-use rdma::{CompletionQueue, CqStatus, CqeOpcode, DmaBuf, Qp, RdmaDevice, RdmaError};
+use rdma::{CompletionQueue, CqStatus, CqeOpcode, DmaBuf, Qp, RdmaDevice, RdmaError, Wr};
 
 use crate::error::{RStoreError, Result};
 
@@ -126,8 +126,8 @@ impl RpcClient {
         let send_wr = self.next_wr + 1;
         self.next_wr += 2;
         self.qp.post_recv(recv_wr, self.recv_buf)?;
-        self.qp
-            .post_send(send_wr, self.send_buf.slice(0, req.len() as u64), None)?;
+        let req_buf = self.send_buf.slice(0, req.len() as u64);
+        self.qp.post(&[Wr::send(send_wr, req_buf, None)])?;
 
         let deadline = Deadline::arm(dev.sim(), self.response_timeout);
         let mut resp_len = None;
@@ -292,7 +292,7 @@ async fn serve_connection(
                     debug_assert!(resp.len() as u64 <= RPC_BUF_BYTES, "oversized RPC response");
                     dev.write_mem(send_buf.addr, &resp)?;
                     wr += 1;
-                    qp.post_send(wr, send_buf.slice(0, resp.len() as u64), None)?;
+                    qp.post(&[Wr::send(wr, send_buf.slice(0, resp.len() as u64), None)])?;
                 }
                 CqeOpcode::Send => {}
                 _ => {}

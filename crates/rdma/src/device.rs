@@ -93,8 +93,10 @@ struct PendingWr {
     opcode: CqeOpcode,
     byte_len: u64,
     status: Option<CqStatus>,
-    /// Destination for READ data / atomic prior value.
-    local_dst: Option<DmaBuf>,
+    /// The WR's gather list. Element `i` went out as wire sub-request
+    /// `req_id + i`; a response carrying data (READ bytes, an atomic's
+    /// prior value) lands in that element's local buffer.
+    sges: SgeList,
     /// Virtual time the WR was posted; start of its trace span.
     posted_at: SimTime,
     /// Virtual time every sub-response was in (the WR resolved); time from
@@ -109,16 +111,8 @@ struct PendingWr {
     /// Doorbell/WQE-build nanoseconds already charged to [`Layer::Post`]
     /// for this WR; subtracted when attributing completion latency.
     post_cost_ns: u64,
-    /// Scatter-gather fan-out: how many wire sub-requests this WR issued
-    /// (1 for plain WRs). Sub-requests occupy the consecutive sequence ids
-    /// `[req_id, req_id + subs)`.
-    subs: u64,
     /// Sub-responses still outstanding; the WR resolves when this hits 0.
     remaining: u64,
-    /// Per-element landing buffers for scatter-gather READs, indexed by
-    /// `response req_id - req_id`. Empty for plain WRs and SGE WRITEs
-    /// (`Vec::new` does not allocate).
-    sge_dsts: Vec<DmaBuf>,
     /// Worst sub-response status folded so far (first failure wins); the
     /// WR's final status once every sub-response is in.
     folded: CqStatus,
@@ -799,12 +793,12 @@ impl RdmaDevice {
         let Some(qp) = inner.qps.get_mut(&qpn.0) else {
             return;
         };
-        // A plain WR answers to its own req_id; a scatter-gather WR owns the
-        // consecutive sub-request ids [req_id, req_id + subs).
+        // A WR owns the consecutive sub-request ids [req_id, req_id + len),
+        // one per gather-list element.
         let Some(wr) = qp
             .sq
             .iter_mut()
-            .find(|w| req_id >= w.req_id && req_id - w.req_id < w.subs)
+            .find(|w| req_id >= w.req_id && req_id - w.req_id < w.sges.len() as u64)
         else {
             return; // late response after timeout flush
         };
@@ -815,11 +809,7 @@ impl RdmaDevice {
         if wr.folded == CqStatus::Success {
             wr.folded = wire_to_cq(status);
         }
-        let local_dst = if wr.subs == 1 {
-            wr.local_dst
-        } else {
-            wr.sge_dsts.get((req_id - wr.req_id) as usize).copied()
-        };
+        let local = wr.sges.entries()[(req_id - wr.req_id) as usize].local;
         wr.remaining = wr.remaining.saturating_sub(1);
         let resolved = wr.remaining == 0;
         if resolved {
@@ -828,13 +818,13 @@ impl RdmaDevice {
         }
         let cq = qp.cq.clone();
 
-        if let (Some(dst), Some(payload), WireStatus::Ok) = (local_dst, payload.as_ref(), status) {
-            if let Err(e) = inner.arena.write_payload(dst.addr, payload) {
+        if let (Some(payload), WireStatus::Ok) = (payload.as_ref(), status) {
+            if let Err(e) = inner.arena.write_payload(local.addr, payload) {
                 debug_assert!(false, "local landing buffer vanished: {e}");
             }
         }
         if !resolved {
-            // More sub-responses of a scatter-gather WR to come; nothing can
+            // More sub-responses of a gather WR to come; nothing can
             // release until the whole WR resolves.
             return;
         }
@@ -1176,169 +1166,213 @@ impl Qp {
     }
 
     /// Posts a one-sided RDMA READ of `dst.len` bytes from `remote` into the
-    /// local buffer `dst`.
+    /// local buffer `dst`: `post` of one [`Wr::read`].
     ///
     /// # Errors
     ///
-    /// [`RdmaError::QpError`] if the QP is in the error state;
-    /// [`RdmaError::OutOfBounds`] if `dst` is not valid local memory.
+    /// As for [`Qp::post`].
     pub fn post_read(&self, wr_id: u64, dst: DmaBuf, remote: RemoteAddr) -> Result<()> {
-        self.post_one_sided(wr_id, CqeOpcode::Read, dst.len, Some(dst), move |req_id| {
-            QpMsg::ReadReq {
-                req_id,
-                raddr: remote.addr,
-                rkey: remote.rkey,
-                len: dst.len,
-            }
-        })
+        self.post(&[Wr::read(wr_id, dst, remote)])
     }
 
-    /// Posts a one-sided RDMA WRITE of the local buffer `src` to `remote`.
+    /// Posts a linked list of work requests with **one doorbell per chunk**
+    /// of [`RdmaConfig::max_batch`] WRs, verbs `ibv_post_send`-style. This
+    /// is the only way onto the send queue; a single post is a list of one.
+    ///
+    /// The first WR of a chunk pays [`RdmaConfig::post_overhead`] (or
+    /// [`RdmaConfig::inline_post_overhead`] when it is inline), each linked
+    /// successor only the amortized [`RdmaConfig::batch_wr_overhead`]. A WR
+    /// pays that charge once however many gather elements it carries.
+    /// Combined with unsignaled WRs (see [`Wr::unsignaled`]) this is the
+    /// Storm-style small-IO batching recipe: ring once, reap one CQE.
+    ///
+    /// The whole list is validated before anything is posted, so an invalid
+    /// WR posts nothing. WRs enter the send queue (and the fabric) in slice
+    /// order, each element as its own wire request; completions release in
+    /// the same order, one CQE per WR.
     ///
     /// # Errors
     ///
-    /// [`RdmaError::QpError`] if the QP is in the error state;
-    /// [`RdmaError::OutOfBounds`] if `src` is not valid local memory.
-    pub fn post_write(&self, wr_id: u64, src: DmaBuf, remote: RemoteAddr) -> Result<()> {
-        let payload = self
-            .dev
-            .inner
-            .borrow()
-            .arena
-            .read_payload(src.addr, src.len)?;
-        self.post_one_sided(wr_id, CqeOpcode::Write, src.len, None, move |req_id| {
-            QpMsg::WriteReq {
-                req_id,
-                raddr: remote.addr,
-                rkey: remote.rkey,
-                payload,
-            }
-        })
-    }
-
-    /// Posts a one-sided RDMA WRITE whose payload is copied from the host
-    /// slice `bytes` into the WQE at post time, verbs `IBV_SEND_INLINE`
-    /// style: no local DmaBuf is staged or registered — the data travels
-    /// with the work request — and the modeled posting cost is the cheaper
-    /// [`RdmaConfig::inline_post_overhead`] (no lkey check or DMA readback
-    /// of the source buffer). Because the payload is captured at post time,
-    /// the caller may reuse `bytes` immediately.
-    ///
-    /// # Errors
-    ///
-    /// * [`RdmaError::OutOfBounds`] — `bytes` exceeds
-    ///   [`RdmaConfig::inline_max`] (`inline_max == 0` disables inlining
-    ///   entirely, the default).
-    /// * [`RdmaError::QpError`] — the QP is in the error state.
-    pub fn post_write_inline(&self, wr_id: u64, bytes: &[u8], remote: RemoteAddr) -> Result<()> {
-        let cfg = &self.dev.cfg;
-        let len = bytes.len() as u64;
-        if cfg.inline_max == 0 || len > cfg.inline_max {
-            return Err(RdmaError::OutOfBounds {
-                addr: remote.addr,
-                len,
-            });
+    /// * [`RdmaError::InvalidHandle`] — empty list, or an atomic or SEND
+    ///   whose gather list is not exactly one element.
+    /// * [`RdmaError::QpError`] — QP already in the error state.
+    /// * [`RdmaError::OutOfBounds`] — a WR's local buffer is invalid, or an
+    ///   inline WR is not a WRITE or exceeds [`RdmaConfig::inline_max`]
+    ///   (`0` disables inline posting, the default).
+    pub fn post(&self, wrs: &[Wr]) -> Result<()> {
+        if wrs.is_empty() {
+            return Err(RdmaError::InvalidHandle);
         }
-        let payload = Payload::Bytes(bytes.to_vec());
-        self.post_one_sided_costed(
-            wr_id,
-            CqeOpcode::Write,
-            len,
-            None,
-            cfg.inline_post_overhead,
-            move |req_id| QpMsg::WriteReq {
-                req_id,
-                raddr: remote.addr,
-                rkey: remote.rkey,
-                payload,
-            },
-        )
+        self.validate(wrs)?;
+        let cfg = &self.dev.cfg;
+        let metrics = self.dev.metrics();
+        let ledger = self.dev.inner.borrow().current_ledger.clone();
+        // Cumulative WQE-build delay: chunk k's packets leave once every WQE
+        // of chunks 0..=k is built.
+        let mut build_delay = std::time::Duration::ZERO;
+        for chunk in wrs.chunks(cfg.max_batch.max(1)) {
+            let head_cost = if chunk[0].inline {
+                cfg.inline_post_overhead
+            } else {
+                cfg.post_overhead
+            };
+            let linked_cost = cfg.batch_wr_overhead;
+            let chunk_cost = head_cost + linked_cost.saturating_mul(chunk.len() as u32 - 1);
+            build_delay += chunk_cost;
+            for (i, wr) in chunk.iter().enumerate() {
+                let cost = if i == 0 { head_cost } else { linked_cost };
+                self.enqueue(wr, cost.as_nanos() as u64, build_delay, &ledger);
+            }
+            // One doorbell for the whole chunk; per-WR bytes were recorded
+            // by `enqueue`, and the ring size feeds the batching histogram.
+            metrics.incr("rdma.doorbells");
+            metrics.record_value("rdma.doorbell_wrs", chunk.len() as u64);
+            let chunk_ns = chunk_cost.as_nanos() as u64;
+            ledger.doorbell();
+            ledger.layer_ns(Layer::Post, chunk_ns);
+            let trace = ledger.optrace();
+            if trace.enabled() {
+                let now = self.dev.sim.now();
+                trace.mark(Phase::Doorbell, now);
+                trace.span_ns(Phase::Post, now.as_nanos(), chunk_ns);
+            }
+        }
+        Ok(())
     }
 
-    /// Posts one scatter-gather READ WR: every element of `sges` is fetched
-    /// with a single WR, a single doorbell, and a single CQE (whose
-    /// `byte_len` is the sum of element lengths). Equivalent to
-    /// `post_batch(&[BatchWr::read_sge(..)])`, which is exactly how it is
-    /// implemented, so the batch-of-one accounting applies.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Qp::post_batch`].
-    pub fn post_read_sge(&self, wr_id: u64, sges: SgeList) -> Result<()> {
-        self.post_batch(&[BatchWr::read_sge(wr_id, sges)])
+    /// Checks every WR of a list before any of it is posted.
+    fn validate(&self, wrs: &[Wr]) -> Result<()> {
+        let cfg = &self.dev.cfg;
+        let inner = self.dev.inner.borrow();
+        let qp = inner.qps.get(&self.qpn.0).ok_or(RdmaError::InvalidHandle)?;
+        if qp.error {
+            return Err(RdmaError::QpError);
+        }
+        for wr in wrs {
+            let gathers = matches!(wr.op, WrOp::Read | WrOp::Write);
+            if !gathers && wr.sges.len() != 1 {
+                return Err(RdmaError::InvalidHandle);
+            }
+            if wr.inline {
+                let len = wr.sges.total_bytes();
+                if wr.op != WrOp::Write || cfg.inline_max == 0 || len > cfg.inline_max {
+                    return Err(RdmaError::OutOfBounds {
+                        addr: wr.sges.entries()[0].remote.addr,
+                        len,
+                    });
+                }
+            }
+            for e in wr.sges.entries() {
+                inner.arena.check_range(e.local.addr, e.local.len)?;
+            }
+        }
+        Ok(())
     }
 
-    /// Posts one scatter-gather WRITE WR; the per-element payloads are
-    /// snapshotted at post time. See [`Qp::post_read_sge`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Qp::post_batch`].
-    pub fn post_write_sge(&self, wr_id: u64, sges: SgeList) -> Result<()> {
-        self.post_batch(&[BatchWr::write_sge(wr_id, sges)])
-    }
-
-    /// Posts a compare-and-swap on a remote u64; the prior value lands in
-    /// `result` (8 bytes) on completion.
-    ///
-    /// # Errors
-    ///
-    /// [`RdmaError::QpError`] / [`RdmaError::OutOfBounds`] as for reads.
-    pub fn post_cas(
+    /// Puts one validated WR on the send queue: one sub-request id and one
+    /// wire request per gather element, each sent `send_after` from now,
+    /// then arms the WR's timeout.
+    fn enqueue(
         &self,
-        wr_id: u64,
-        result: DmaBuf,
-        remote: RemoteAddr,
-        expect: u64,
-        swap: u64,
-    ) -> Result<()> {
-        self.post_one_sided(wr_id, CqeOpcode::CompSwap, 8, Some(result), move |req_id| {
-            QpMsg::AtomicReq {
-                req_id,
-                raddr: remote.addr,
-                rkey: remote.rkey,
-                op: AtomicOp::CompareSwap { expect, swap },
+        wr: &Wr,
+        post_cost_ns: u64,
+        send_after: std::time::Duration,
+        ledger: &OpLedger,
+    ) {
+        let now = self.dev.sim.now();
+        let (opcode, byte_len) = match wr.op {
+            WrOp::Read => (CqeOpcode::Read, wr.sges.total_bytes()),
+            WrOp::Write => (CqeOpcode::Write, wr.sges.total_bytes()),
+            WrOp::CompSwap { .. } => (CqeOpcode::CompSwap, 8),
+            WrOp::FetchAdd { .. } => (CqeOpcode::FetchAdd, 8),
+            WrOp::Send { .. } => (CqeOpcode::Send, wr.sges.total_bytes()),
+        };
+        let n = wr.sges.len() as u64;
+        let (base, backlog) = {
+            let mut inner = self.dev.inner.borrow_mut();
+            let inner = &mut *inner;
+            let backlog = inner.outstanding_bytes;
+            inner.outstanding_bytes += byte_len;
+            let qp = inner.qps.get_mut(&self.qpn.0).expect("validated QP");
+            let peer = qp.remote_node;
+            let peer_qpn = qp.remote_qpn.expect("QP not connected");
+            let base = qp.next_req;
+            qp.next_req += n;
+            qp.sq.push_back(PendingWr {
+                req_id: base,
+                wr_id: wr.wr_id,
+                opcode,
+                byte_len,
+                status: None,
+                sges: wr.sges,
+                posted_at: now,
+                resolved_at: now,
+                signaled: wr.signaled,
+                ledger: ledger.clone(),
+                post_cost_ns,
+                remaining: n,
+                folded: CqStatus::Success,
+            });
+            qp.stats.incr("posted");
+            qp.stats
+                .record_value("outstanding_depth", qp.sq.len() as u64);
+            for (req_id, e) in (base..).zip(wr.sges.entries()) {
+                let (raddr, rkey) = (e.remote.addr, e.remote.rkey);
+                let payload = || {
+                    inner
+                        .arena
+                        .read_payload(e.local.addr, e.local.len)
+                        .expect("validated local buffer")
+                };
+                let msg = match wr.op {
+                    WrOp::Read => QpMsg::ReadReq {
+                        req_id,
+                        raddr,
+                        rkey,
+                        len: e.local.len,
+                    },
+                    WrOp::Write => QpMsg::WriteReq {
+                        req_id,
+                        raddr,
+                        rkey,
+                        payload: payload(),
+                    },
+                    WrOp::CompSwap { expect, swap } => QpMsg::AtomicReq {
+                        req_id,
+                        raddr,
+                        rkey,
+                        op: AtomicOp::CompareSwap { expect, swap },
+                    },
+                    WrOp::FetchAdd { add } => QpMsg::AtomicReq {
+                        req_id,
+                        raddr,
+                        rkey,
+                        op: AtomicOp::FetchAdd { add },
+                    },
+                    WrOp::Send { imm } => QpMsg::Send {
+                        req_id,
+                        payload: payload(),
+                        imm,
+                    },
+                };
+                let msg = NetMsg::Qp { dst: peer_qpn, msg };
+                let wire = msg.wire_bytes();
+                ledger.wire(wire);
+                // The packet leaves once the WQE-build CPU cost is paid.
+                let (fabric, src) = (self.dev.fabric.clone(), self.dev.node);
+                self.dev.sim.schedule(send_after, move || {
+                    fabric.send(src, peer, wire, msg);
+                });
             }
-        })
-    }
-
-    /// Posts a fetch-and-add on a remote u64; the prior value lands in
-    /// `result` (8 bytes) on completion.
-    ///
-    /// # Errors
-    ///
-    /// [`RdmaError::QpError`] / [`RdmaError::OutOfBounds`] as for reads.
-    pub fn post_faa(&self, wr_id: u64, result: DmaBuf, remote: RemoteAddr, add: u64) -> Result<()> {
-        self.post_one_sided(wr_id, CqeOpcode::FetchAdd, 8, Some(result), move |req_id| {
-            QpMsg::AtomicReq {
-                req_id,
-                raddr: remote.addr,
-                rkey: remote.rkey,
-                op: AtomicOp::FetchAdd { add },
-            }
-        })
-    }
-
-    /// Posts a two-sided SEND of the local buffer `src`, optionally carrying
-    /// a 32-bit immediate.
-    ///
-    /// # Errors
-    ///
-    /// [`RdmaError::QpError`] / [`RdmaError::OutOfBounds`] as for writes.
-    pub fn post_send(&self, wr_id: u64, src: DmaBuf, imm: Option<u32>) -> Result<()> {
-        let payload = self
-            .dev
-            .inner
-            .borrow()
-            .arena
-            .read_payload(src.addr, src.len)?;
-        self.post_one_sided(wr_id, CqeOpcode::Send, src.len, None, move |req_id| {
-            QpMsg::Send {
-                req_id,
-                payload,
-                imm,
-            }
-        })
+            (base, backlog)
+        };
+        let metrics = self.dev.metrics();
+        metrics.record_value("rdma.doorbell_bytes", byte_len);
+        if n > 1 {
+            metrics.incr("rdma.sge_wrs");
+            metrics.record_value("rdma.sge_entries", n);
+        }
+        self.arm_op_timeout(base, byte_len, backlog);
     }
 
     /// Posts a receive buffer for an incoming SEND. If a SEND is already
@@ -1373,117 +1407,11 @@ impl Qp {
         Ok(())
     }
 
-    fn post_one_sided(
-        &self,
-        wr_id: u64,
-        opcode: CqeOpcode,
-        byte_len: u64,
-        local_dst: Option<DmaBuf>,
-        build: impl FnOnce(u64) -> QpMsg,
-    ) -> Result<()> {
-        self.post_one_sided_costed(
-            wr_id,
-            opcode,
-            byte_len,
-            local_dst,
-            self.dev.cfg.post_overhead,
-            build,
-        )
-    }
-
-    /// [`Qp::post_one_sided`] with an explicit WQE-build/doorbell cost; the
-    /// inline-WRITE path charges its cheaper
-    /// [`RdmaConfig::inline_post_overhead`] here.
-    fn post_one_sided_costed(
-        &self,
-        wr_id: u64,
-        opcode: CqeOpcode,
-        byte_len: u64,
-        local_dst: Option<DmaBuf>,
-        post_cost: std::time::Duration,
-        build: impl FnOnce(u64) -> QpMsg,
-    ) -> Result<()> {
-        let post_cost_ns = post_cost.as_nanos() as u64;
-        let (req_id, peer, peer_qpn, backlog, ledger) = {
-            let mut inner = self.dev.inner.borrow_mut();
-            // Validate the landing buffer up front.
-            if let Some(dst) = local_dst {
-                inner.arena.read_payload(dst.addr, dst.len)?;
-            }
-            let backlog = inner.outstanding_bytes;
-            inner.outstanding_bytes += byte_len;
-            let ledger = inner.current_ledger.clone();
-            let qp = inner
-                .qps
-                .get_mut(&self.qpn.0)
-                .ok_or(RdmaError::InvalidHandle)?;
-            if qp.error {
-                return Err(RdmaError::QpError);
-            }
-            let req_id = qp.next_req;
-            qp.next_req += 1;
-            qp.sq.push_back(PendingWr {
-                req_id,
-                wr_id,
-                opcode,
-                byte_len,
-                status: None,
-                local_dst,
-                posted_at: self.dev.sim.now(),
-                resolved_at: self.dev.sim.now(),
-                signaled: true,
-                ledger: ledger.clone(),
-                post_cost_ns,
-                subs: 1,
-                remaining: 1,
-                sge_dsts: Vec::new(),
-                folded: CqStatus::Success,
-            });
-            qp.stats.incr("posted");
-            qp.stats
-                .record_value("outstanding_depth", qp.sq.len() as u64);
-            (
-                req_id,
-                qp.remote_node,
-                qp.remote_qpn.expect("QP not connected"),
-                backlog,
-                ledger,
-            )
-        };
-        let metrics = self.dev.metrics();
-        metrics.incr("rdma.doorbells");
-        metrics.record_value("rdma.doorbell_bytes", byte_len);
-
-        let msg = NetMsg::Qp {
-            dst: peer_qpn,
-            msg: build(req_id),
-        };
-        let wire = msg.wire_bytes();
-        ledger.doorbell();
-        ledger.wire(wire);
-        ledger.layer_ns(Layer::Post, post_cost_ns);
-        let trace = ledger.optrace();
-        if trace.enabled() {
-            let now = self.dev.sim.now();
-            trace.mark(Phase::Doorbell, now);
-            trace.span_ns(Phase::Post, now.as_nanos(), post_cost_ns);
-        }
-        let dev = self.dev.clone();
-        let src_node = self.dev.node;
-        // Charge the doorbell/WQE-build CPU cost before the packet exists.
-        self.dev.sim.schedule(post_cost, move || {
-            dev.fabric.send(src_node, peer, wire, msg);
-        });
-
-        self.arm_op_timeout(req_id, byte_len, backlog, opcode);
-        Ok(())
-    }
-
     /// Arms the per-op timeout for a posted work request. Backlog-aware:
     /// everything this device already had in flight at post time drains
     /// ahead of (or interleaved with) this op, so it is granted wire time
     /// for that backlog too.
-    fn arm_op_timeout(&self, req_id: u64, byte_len: u64, backlog: u64, opcode: CqeOpcode) {
+    fn arm_op_timeout(&self, req_id: u64, byte_len: u64, backlog: u64) {
         let dev = self.dev.clone();
         let qpn = self.qpn;
         let timeout = self.dev.cfg.op_timeout(byte_len.saturating_add(backlog));
@@ -1494,386 +1422,122 @@ impl Qp {
                     .any(|w| w.req_id == req_id && w.status.is_none())
             });
             if still_pending {
-                if std::env::var_os("RDMA_DEBUG_TIMEOUT").is_some() {
-                    eprintln!(
-                        "[{}] op timeout: node={} qpn={} req={} bytes={} opcode={:?}",
-                        dev.sim.now(),
-                        dev.node,
-                        qpn,
-                        req_id,
-                        byte_len,
-                        opcode
-                    );
-                }
                 dev.fail_qp(qpn, req_id);
             }
         });
     }
-
-    /// Posts a linked list of work requests with **one doorbell per chunk**
-    /// of [`RdmaConfig::max_batch`] WRs, verbs `ibv_post_send`-style: the
-    /// first WR of a chunk pays [`RdmaConfig::post_overhead`], each linked
-    /// successor only the amortized [`RdmaConfig::batch_wr_overhead`].
-    /// Combined with unsignaled WRs (see [`BatchWr::unsignaled`]) this is
-    /// the Storm-style small-IO batching recipe: ring once, reap one CQE.
-    ///
-    /// The whole batch is validated before anything is posted, so an invalid
-    /// WR posts nothing. WRs enter the send queue (and the fabric) in slice
-    /// order; completions release in the same order.
-    ///
-    /// # Errors
-    ///
-    /// * [`RdmaError::InvalidHandle`] — empty batch (nothing to ring for).
-    /// * [`RdmaError::QpError`] — QP already in the error state.
-    /// * [`RdmaError::OutOfBounds`] — a WR's local buffer is invalid.
-    pub fn post_batch(&self, wrs: &[BatchWr]) -> Result<()> {
-        if wrs.is_empty() {
-            return Err(RdmaError::InvalidHandle);
-        }
-        let cfg = &self.dev.cfg;
-        let max_batch = cfg.max_batch.max(1);
-        // Validate every WR and snapshot WRITE payloads up front, before any
-        // state changes: a bad batch posts nothing. SGE WRs snapshot one
-        // payload per element.
-        enum WrSnap {
-            Plain(Option<Payload>),
-            Sge(Vec<Option<Payload>>),
-        }
-        let mut snaps: Vec<WrSnap> = Vec::with_capacity(wrs.len());
-        {
-            let inner = self.dev.inner.borrow();
-            let qp = inner.qps.get(&self.qpn.0).ok_or(RdmaError::InvalidHandle)?;
-            if qp.error {
-                return Err(RdmaError::QpError);
-            }
-            for wr in wrs {
-                snaps.push(match &wr.op {
-                    BatchOp::Read { dst, .. } => {
-                        inner.arena.read_payload(dst.addr, dst.len)?;
-                        WrSnap::Plain(None)
-                    }
-                    BatchOp::Write { src, .. } => {
-                        WrSnap::Plain(Some(inner.arena.read_payload(src.addr, src.len)?))
-                    }
-                    BatchOp::ReadSge { sges } => {
-                        for e in sges.entries() {
-                            inner.arena.read_payload(e.local.addr, e.local.len)?;
-                        }
-                        WrSnap::Sge(Vec::new())
-                    }
-                    BatchOp::WriteSge { sges } => {
-                        let mut ps = Vec::with_capacity(sges.len());
-                        for e in sges.entries() {
-                            ps.push(Some(inner.arena.read_payload(e.local.addr, e.local.len)?));
-                        }
-                        WrSnap::Sge(ps)
-                    }
-                });
-            }
-        }
-        let metrics = self.dev.metrics();
-        let ledger = self.dev.inner.borrow().current_ledger.clone();
-        let first_wr_cost = cfg.post_overhead.as_nanos() as u64;
-        let linked_wr_cost = cfg.batch_wr_overhead.as_nanos() as u64;
-        let mut snaps = snaps.into_iter();
-        // Cumulative WQE-build delay: chunk k's packets leave once every WQE
-        // of chunks 0..=k is built.
-        let mut build_delay = std::time::Duration::ZERO;
-        for chunk in wrs.chunks(max_batch) {
-            // (req_id, byte_len, backlog-at-post, opcode) per WR, for timeouts.
-            let mut meta = Vec::with_capacity(chunk.len());
-            let mut msgs = Vec::with_capacity(chunk.len());
-            let peer = {
-                let mut inner = self.dev.inner.borrow_mut();
-                let now = self.dev.sim.now();
-                let mut backlog = inner.outstanding_bytes;
-                let qp = inner
-                    .qps
-                    .get_mut(&self.qpn.0)
-                    .ok_or(RdmaError::InvalidHandle)?;
-                let peer = qp.remote_node;
-                let peer_qpn = qp.remote_qpn.expect("QP not connected");
-                for (i, wr) in chunk.iter().enumerate() {
-                    let snap = snaps.next().expect("one snapshot per WR");
-                    let post_cost_ns = if i == 0 {
-                        first_wr_cost
-                    } else {
-                        linked_wr_cost
-                    };
-                    match (&wr.op, snap) {
-                        (&BatchOp::Read { dst, remote }, _) => {
-                            let req_id = qp.next_req;
-                            qp.next_req += 1;
-                            qp.sq.push_back(PendingWr {
-                                req_id,
-                                wr_id: wr.wr_id,
-                                opcode: CqeOpcode::Read,
-                                byte_len: dst.len,
-                                status: None,
-                                local_dst: Some(dst),
-                                posted_at: now,
-                                resolved_at: now,
-                                signaled: wr.signaled,
-                                ledger: ledger.clone(),
-                                post_cost_ns,
-                                subs: 1,
-                                remaining: 1,
-                                sge_dsts: Vec::new(),
-                                folded: CqStatus::Success,
-                            });
-                            metrics.record_value("rdma.doorbell_bytes", dst.len);
-                            meta.push((req_id, dst.len, backlog, CqeOpcode::Read));
-                            let msg = NetMsg::Qp {
-                                dst: peer_qpn,
-                                msg: QpMsg::ReadReq {
-                                    req_id,
-                                    raddr: remote.addr,
-                                    rkey: remote.rkey,
-                                    len: dst.len,
-                                },
-                            };
-                            let wire = msg.wire_bytes();
-                            ledger.wire(wire);
-                            msgs.push((wire, msg));
-                            backlog += dst.len;
-                        }
-                        (&BatchOp::Write { src, remote }, snap) => {
-                            let WrSnap::Plain(Some(payload)) = snap else {
-                                unreachable!("write snapshot")
-                            };
-                            let req_id = qp.next_req;
-                            qp.next_req += 1;
-                            qp.sq.push_back(PendingWr {
-                                req_id,
-                                wr_id: wr.wr_id,
-                                opcode: CqeOpcode::Write,
-                                byte_len: src.len,
-                                status: None,
-                                local_dst: None,
-                                posted_at: now,
-                                resolved_at: now,
-                                signaled: wr.signaled,
-                                ledger: ledger.clone(),
-                                post_cost_ns,
-                                subs: 1,
-                                remaining: 1,
-                                sge_dsts: Vec::new(),
-                                folded: CqStatus::Success,
-                            });
-                            metrics.record_value("rdma.doorbell_bytes", src.len);
-                            meta.push((req_id, src.len, backlog, CqeOpcode::Write));
-                            let msg = NetMsg::Qp {
-                                dst: peer_qpn,
-                                msg: QpMsg::WriteReq {
-                                    req_id,
-                                    raddr: remote.addr,
-                                    rkey: remote.rkey,
-                                    payload,
-                                },
-                            };
-                            let wire = msg.wire_bytes();
-                            ledger.wire(wire);
-                            msgs.push((wire, msg));
-                            backlog += src.len;
-                        }
-                        // A scatter-gather WR: one WR (one chain slot, one
-                        // WQE-build charge, one CQE) fanning out to one wire
-                        // request per element, on consecutive sub-ids.
-                        (op @ (&BatchOp::ReadSge { sges } | &BatchOp::WriteSge { sges }), snap) => {
-                            let is_read = matches!(op, BatchOp::ReadSge { .. });
-                            let mut payloads = match snap {
-                                WrSnap::Sge(ps) => ps.into_iter(),
-                                WrSnap::Plain(_) => unreachable!("sge snapshot"),
-                            };
-                            let n = sges.len() as u64;
-                            let total = sges.total_bytes();
-                            let base = qp.next_req;
-                            qp.next_req += n;
-                            let opcode = if is_read {
-                                CqeOpcode::Read
-                            } else {
-                                CqeOpcode::Write
-                            };
-                            qp.sq.push_back(PendingWr {
-                                req_id: base,
-                                wr_id: wr.wr_id,
-                                opcode,
-                                byte_len: total,
-                                status: None,
-                                local_dst: None,
-                                posted_at: now,
-                                resolved_at: now,
-                                signaled: wr.signaled,
-                                ledger: ledger.clone(),
-                                post_cost_ns,
-                                subs: n,
-                                remaining: n,
-                                sge_dsts: if is_read {
-                                    sges.entries().iter().map(|e| e.local).collect()
-                                } else {
-                                    Vec::new()
-                                },
-                                folded: CqStatus::Success,
-                            });
-                            metrics.record_value("rdma.doorbell_bytes", total);
-                            metrics.incr("rdma.sge_wrs");
-                            metrics.record_value("rdma.sge_entries", n);
-                            meta.push((base, total, backlog, opcode));
-                            for (j, e) in sges.entries().iter().enumerate() {
-                                let req_id = base + j as u64;
-                                let msg = if is_read {
-                                    QpMsg::ReadReq {
-                                        req_id,
-                                        raddr: e.remote.addr,
-                                        rkey: e.remote.rkey,
-                                        len: e.local.len,
-                                    }
-                                } else {
-                                    QpMsg::WriteReq {
-                                        req_id,
-                                        raddr: e.remote.addr,
-                                        rkey: e.remote.rkey,
-                                        payload: payloads
-                                            .next()
-                                            .flatten()
-                                            .expect("one snapshot per element"),
-                                    }
-                                };
-                                let msg = NetMsg::Qp { dst: peer_qpn, msg };
-                                let wire = msg.wire_bytes();
-                                ledger.wire(wire);
-                                msgs.push((wire, msg));
-                            }
-                            backlog += total;
-                        }
-                    }
-                    qp.stats.incr("posted");
-                    qp.stats
-                        .record_value("outstanding_depth", qp.sq.len() as u64);
-                }
-                inner.outstanding_bytes = backlog;
-                peer
-            };
-            // One doorbell for the whole chunk; per-WR bytes were recorded
-            // above, and the ring size feeds the batching histogram.
-            metrics.incr("rdma.doorbells");
-            metrics.record_value("rdma.doorbell_wrs", chunk.len() as u64);
-            ledger.doorbell();
-            let chunk_post_ns =
-                first_wr_cost + linked_wr_cost * chunk.len().saturating_sub(1) as u64;
-            ledger.layer_ns(Layer::Post, chunk_post_ns);
-            let trace = ledger.optrace();
-            if trace.enabled() {
-                let now = self.dev.sim.now();
-                trace.mark(Phase::Doorbell, now);
-                trace.span_ns(Phase::Post, now.as_nanos(), chunk_post_ns);
-            }
-            build_delay += cfg.post_overhead
-                + cfg
-                    .batch_wr_overhead
-                    .saturating_mul(chunk.len().saturating_sub(1) as u32);
-            let dev = self.dev.clone();
-            let src_node = self.dev.node;
-            self.dev.sim.schedule(build_delay, move || {
-                for (wire, msg) in msgs {
-                    dev.fabric.send(src_node, peer, wire, msg);
-                }
-            });
-            for (req_id, byte_len, backlog, opcode) in meta {
-                self.arm_op_timeout(req_id, byte_len, backlog, opcode);
-            }
-        }
-        Ok(())
-    }
 }
 
-/// One work request in a [`Qp::post_batch`] call.
+/// The operation a [`Wr`] applies to its gather list.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum WrOp {
+    /// RDMA READ: each element's remote extent lands in its local buffer.
+    Read,
+    /// RDMA WRITE: each element's local buffer (snapshotted at post time)
+    /// is written to its remote extent.
+    Write,
+    /// Compare-and-swap on the remote u64 of a one-element list; the prior
+    /// value lands in the element's (8-byte) local buffer.
+    CompSwap {
+        /// Value the remote word must hold for the swap to happen.
+        expect: u64,
+        /// Value written on a match.
+        swap: u64,
+    },
+    /// Fetch-and-add on the remote u64 of a one-element list; the prior
+    /// value lands in the element's (8-byte) local buffer.
+    FetchAdd {
+        /// Addend.
+        add: u64,
+    },
+    /// Two-sided SEND of a one-element list's local buffer (the element's
+    /// remote address is unused), optionally carrying a 32-bit immediate.
+    Send {
+        /// Immediate delivered with the receive completion.
+        imm: Option<u32>,
+    },
+}
+
+/// One work request for [`Qp::post`]: an opcode over a gather list of
+/// 1..=[`MAX_SGE`] elements, plus the signaling and inline flags. One WR
+/// is one send-queue slot, one WQE-build charge and one CQE, however many
+/// elements it gathers.
 #[derive(Clone, Copy, Debug)]
-pub struct BatchWr {
+pub struct Wr {
     /// Caller's completion correlation id.
     pub wr_id: u64,
-    /// The one-sided operation to perform.
-    pub op: BatchOp,
+    /// What the WR does.
+    pub op: WrOp,
+    /// Elements: local buffer + remote extent each.
+    pub sges: SgeList,
     /// Whether a *successful* completion generates a CQE. Error and flush
     /// completions are always delivered regardless. The canonical batch
     /// signals only its last WR: post-order completion release then makes
     /// that one CQE prove the whole batch finished.
     pub signaled: bool,
+    /// Verbs `IBV_SEND_INLINE` for WRITEs: the payload is copied into the
+    /// WQE at post time, so the NIC never fetches it by DMA and the WR
+    /// pays the cheaper [`RdmaConfig::inline_post_overhead`] when it heads
+    /// a doorbell. The list's total length must fit
+    /// [`RdmaConfig::inline_max`].
+    pub inline: bool,
 }
 
-impl BatchWr {
-    /// A signaled RDMA READ of `dst.len` bytes from `remote` into `dst`.
-    pub fn read(wr_id: u64, dst: DmaBuf, remote: RemoteAddr) -> BatchWr {
-        BatchWr {
+impl Wr {
+    /// A signaled, non-inline WR over `sges`.
+    pub fn new(wr_id: u64, op: WrOp, sges: SgeList) -> Wr {
+        Wr {
             wr_id,
-            op: BatchOp::Read { dst, remote },
+            op,
+            sges,
             signaled: true,
+            inline: false,
         }
     }
 
-    /// A signaled RDMA WRITE of `src` to `remote`.
-    pub fn write(wr_id: u64, src: DmaBuf, remote: RemoteAddr) -> BatchWr {
-        BatchWr {
-            wr_id,
-            op: BatchOp::Write { src, remote },
-            signaled: true,
-        }
+    /// An RDMA READ of `dst.len` bytes from `remote` into `dst`.
+    pub fn read(wr_id: u64, dst: DmaBuf, remote: RemoteAddr) -> Wr {
+        Wr::new(wr_id, WrOp::Read, SgeList::one(dst, remote))
     }
 
-    /// A signaled scatter-gather READ: one WR/CQE covering every element.
-    pub fn read_sge(wr_id: u64, sges: SgeList) -> BatchWr {
-        BatchWr {
-            wr_id,
-            op: BatchOp::ReadSge { sges },
-            signaled: true,
-        }
+    /// An RDMA WRITE of `src` to `remote`.
+    pub fn write(wr_id: u64, src: DmaBuf, remote: RemoteAddr) -> Wr {
+        Wr::new(wr_id, WrOp::Write, SgeList::one(src, remote))
     }
 
-    /// A signaled scatter-gather WRITE: one WR/CQE covering every element.
-    pub fn write_sge(wr_id: u64, sges: SgeList) -> BatchWr {
-        BatchWr {
-            wr_id,
-            op: BatchOp::WriteSge { sges },
-            signaled: true,
-        }
+    /// A compare-and-swap on the u64 at `remote`; the prior value lands in
+    /// `result`.
+    pub fn cas(wr_id: u64, result: DmaBuf, remote: RemoteAddr, expect: u64, swap: u64) -> Wr {
+        let op = WrOp::CompSwap { expect, swap };
+        Wr::new(wr_id, op, SgeList::one(result, remote))
+    }
+
+    /// A fetch-and-add on the u64 at `remote`; the prior value lands in
+    /// `result`.
+    pub fn faa(wr_id: u64, result: DmaBuf, remote: RemoteAddr, add: u64) -> Wr {
+        Wr::new(wr_id, WrOp::FetchAdd { add }, SgeList::one(result, remote))
+    }
+
+    /// A two-sided SEND of `src`, optionally carrying an immediate.
+    pub fn send(wr_id: u64, src: DmaBuf, imm: Option<u32>) -> Wr {
+        let nowhere = RemoteAddr {
+            addr: 0,
+            rkey: RKey(0),
+        };
+        Wr::new(wr_id, WrOp::Send { imm }, SgeList::one(src, nowhere))
     }
 
     /// Suppresses the success CQE for this WR.
-    pub fn unsignaled(mut self) -> BatchWr {
+    pub fn unsignaled(mut self) -> Wr {
         self.signaled = false;
         self
     }
-}
 
-/// Operation carried by a [`BatchWr`].
-#[derive(Clone, Copy, Debug)]
-pub enum BatchOp {
-    /// RDMA READ of `dst.len` bytes from `remote` into local `dst`.
-    Read {
-        /// Local landing buffer; its length is the read size.
-        dst: DmaBuf,
-        /// Remote source.
-        remote: RemoteAddr,
-    },
-    /// RDMA WRITE of local `src` to `remote`.
-    Write {
-        /// Local source buffer (snapshotted at post time).
-        src: DmaBuf,
-        /// Remote destination.
-        remote: RemoteAddr,
-    },
-    /// Scatter-gather READ: one WR, one CQE, one element per `(local,
-    /// remote)` pair. Each element lands in its own local buffer.
-    ReadSge {
-        /// The gather list (1..=[`MAX_SGE`] elements).
-        sges: SgeList,
-    },
-    /// Scatter-gather WRITE: one WR, one CQE, one element per `(local,
-    /// remote)` pair. Each element's payload is snapshotted at post time.
-    WriteSge {
-        /// The scatter list (1..=[`MAX_SGE`] elements).
-        sges: SgeList,
-    },
+    /// Marks this WR inline (see [`Wr::inline`](Wr#structfield.inline)).
+    pub fn inline(mut self) -> Wr {
+        self.inline = true;
+        self
+    }
 }
 
 /// Maximum number of elements in an [`SgeList`] — the modeled
@@ -1896,7 +1560,7 @@ pub struct Sge {
 }
 
 /// A fixed-capacity scatter/gather list (1..=[`MAX_SGE`] elements), `Copy`
-/// so [`BatchWr`] stays `Copy`.
+/// so [`Wr`] stays `Copy`.
 #[derive(Clone, Copy, Debug)]
 pub struct SgeList {
     len: u8,
@@ -1914,18 +1578,34 @@ impl SgeList {
         if elems.is_empty() || elems.len() > MAX_SGE {
             return Err(RdmaError::InvalidHandle);
         }
-        let mut entries = [Sge {
-            local: DmaBuf { addr: 0, len: 0 },
-            remote: RemoteAddr {
-                addr: 0,
-                rkey: RKey(0),
-            },
-        }; MAX_SGE];
-        entries[..elems.len()].copy_from_slice(elems);
-        Ok(SgeList {
-            len: elems.len() as u8,
-            entries,
-        })
+        let mut list = SgeList::one(elems[0].local, elems[0].remote);
+        list.entries[..elems.len()].copy_from_slice(elems);
+        list.len = elems.len() as u8;
+        Ok(list)
+    }
+
+    /// The one-element list `(local, remote)`.
+    pub fn one(local: DmaBuf, remote: RemoteAddr) -> SgeList {
+        SgeList {
+            len: 1,
+            entries: [Sge { local, remote }; MAX_SGE],
+        }
+    }
+
+    /// Appends an element.
+    ///
+    /// # Errors
+    ///
+    /// [`RdmaError::InvalidHandle`] if the list already holds [`MAX_SGE`]
+    /// elements.
+    pub fn push(&mut self, local: DmaBuf, remote: RemoteAddr) -> Result<()> {
+        let slot = self
+            .entries
+            .get_mut(self.len as usize)
+            .ok_or(RdmaError::InvalidHandle)?;
+        *slot = Sge { local, remote };
+        self.len += 1;
+        Ok(())
     }
 
     /// The populated elements.
@@ -1938,7 +1618,7 @@ impl SgeList {
         self.len as usize
     }
 
-    /// Always false: [`SgeList::new`] rejects empty lists.
+    /// Always false: every constructor yields at least one element.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -2010,7 +1690,7 @@ mod tests {
             let server_buf = b.alloc(16).unwrap();
             let mr = b.reg_mr(server_buf, Access::REMOTE_WRITE).unwrap();
             let src = a.alloc_init(b"hello, server").unwrap();
-            cqp.post_write(2, src, mr.token().at(0, 13).unwrap())
+            cqp.post(&[Wr::write(2, src, mr.token().at(0, 13).unwrap())])
                 .unwrap();
             let cqe = ccq.next().await;
             assert!(cqe.status.is_ok());
@@ -2044,7 +1724,7 @@ mod tests {
             // Registered read-only: writes must be rejected.
             let mr = b.reg_mr(server_buf, Access::REMOTE_READ).unwrap();
             let src = a.alloc(8).unwrap();
-            cqp.post_write(1, src, mr.token().at(0, 8).unwrap())
+            cqp.post(&[Wr::write(1, src, mr.token().at(0, 8).unwrap())])
                 .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(cqe.status, CqStatus::RemoteAccess);
@@ -2071,13 +1751,13 @@ mod tests {
             let server_buf = b.alloc_init(b"migrate!").unwrap();
             let mr = b.reg_mr(server_buf, Access::REMOTE_ALL).unwrap();
             let src = a.alloc_init(b"clobber!").unwrap();
-            cqp.post_write(1, src, mr.token().at(0, 8).unwrap())
+            cqp.post(&[Wr::write(1, src, mr.token().at(0, 8).unwrap())])
                 .unwrap();
             assert_eq!(ccq.next().await.status, CqStatus::Success);
 
             // Seal to read-only: same rkey, writes now fault, reads still serve.
             b.set_mr_access(mr.rkey, Access::REMOTE_READ).unwrap();
-            cqp.post_write(2, src, mr.token().at(0, 8).unwrap())
+            cqp.post(&[Wr::write(2, src, mr.token().at(0, 8).unwrap())])
                 .unwrap();
             assert_eq!(ccq.next().await.status, CqStatus::RemoteAccess);
             let dst = a.alloc(8).unwrap();
@@ -2087,7 +1767,7 @@ mod tests {
 
             // Restore full rights: writes succeed again.
             b.set_mr_access(mr.rkey, Access::REMOTE_ALL).unwrap();
-            cqp.post_write(4, src, mr.token().at(0, 8).unwrap())
+            cqp.post(&[Wr::write(4, src, mr.token().at(0, 8).unwrap())])
                 .unwrap();
             assert_eq!(ccq.next().await.status, CqStatus::Success);
 
@@ -2143,7 +1823,7 @@ mod tests {
             let rbuf = b.alloc(32).unwrap();
             sqp.post_recv(10, rbuf).unwrap();
             let src = a.alloc_init(b"ping").unwrap();
-            cqp.post_send(11, src, Some(77)).unwrap();
+            cqp.post(&[Wr::send(11, src, Some(77))]).unwrap();
             let recv_cqe = scq.next().await;
             assert_eq!(recv_cqe.opcode, CqeOpcode::Recv);
             assert_eq!(recv_cqe.wr_id, 10);
@@ -2160,7 +1840,7 @@ mod tests {
     fn send_before_recv_waits_rnr() {
         connected(|a, b, cqp, ccq, sqp, scq| async move {
             let src = a.alloc_init(b"early").unwrap();
-            cqp.post_send(1, src, None).unwrap();
+            cqp.post(&[Wr::send(1, src, None)]).unwrap();
             // Give the SEND time to arrive before the receive is posted.
             a.sim().sleep(Duration::from_micros(5)).await;
             assert!(scq.is_empty(), "no recv posted yet");
@@ -2179,7 +1859,7 @@ mod tests {
             let rbuf = b.alloc(2).unwrap();
             sqp.post_recv(1, rbuf).unwrap();
             let src = a.alloc_init(b"too large for two bytes").unwrap();
-            cqp.post_send(2, src, None).unwrap();
+            cqp.post(&[Wr::send(2, src, None)]).unwrap();
             assert_eq!(scq.next().await.status, CqStatus::RecvOverflow);
             assert_eq!(ccq.next().await.status, CqStatus::RecvOverflow);
         });
@@ -2193,7 +1873,7 @@ mod tests {
             let mr = b.reg_mr(counter, Access::REMOTE_ATOMIC).unwrap();
             let result = a.alloc(8).unwrap();
 
-            cqp.post_faa(1, result, mr.token().at(0, 8).unwrap(), 5)
+            cqp.post(&[Wr::faa(1, result, mr.token().at(0, 8).unwrap(), 5)])
                 .unwrap();
             let cqe = ccq.next().await;
             assert!(cqe.status.is_ok());
@@ -2201,14 +1881,14 @@ mod tests {
             assert_eq!(b.read_u64(counter.addr).unwrap(), 105);
 
             // Successful CAS.
-            cqp.post_cas(2, result, mr.token().at(0, 8).unwrap(), 105, 7)
+            cqp.post(&[Wr::cas(2, result, mr.token().at(0, 8).unwrap(), 105, 7)])
                 .unwrap();
             ccq.next().await;
             assert_eq!(a.read_u64(result.addr).unwrap(), 105);
             assert_eq!(b.read_u64(counter.addr).unwrap(), 7);
 
             // Failed CAS leaves the value.
-            cqp.post_cas(3, result, mr.token().at(0, 8).unwrap(), 999, 1)
+            cqp.post(&[Wr::cas(3, result, mr.token().at(0, 8).unwrap(), 999, 1)])
                 .unwrap();
             ccq.next().await;
             assert_eq!(a.read_u64(result.addr).unwrap(), 7);
@@ -2285,7 +1965,7 @@ mod tests {
             let server_buf = b.alloc_init(b"keepme!!").unwrap();
             let mr = b.reg_mr(server_buf, Access::REMOTE_WRITE).unwrap();
             let src = a.alloc_synthetic(8).unwrap();
-            cqp.post_write(1, src, mr.token().at(0, 8).unwrap())
+            cqp.post(&[Wr::write(1, src, mr.token().at(0, 8).unwrap())])
                 .unwrap();
             assert!(ccq.next().await.status.is_ok());
             // Synthetic payloads move no bytes.
@@ -2389,7 +2069,7 @@ mod tests {
             // Five SENDs before any receive is posted.
             for i in 0..5u8 {
                 let src = a.alloc_init(&[i; 4]).unwrap();
-                cqp.post_send(i as u64, src, None).unwrap();
+                cqp.post(&[Wr::send(i as u64, src, None)]).unwrap();
             }
             a.sim().sleep(Duration::from_micros(10)).await;
             // Post receives one by one: deliveries must come in send order.
@@ -2464,7 +2144,7 @@ mod tests {
         // Pinned edge case: an empty batch is an error before any state
         // changes — no doorbell rings, no CQE is ever delivered.
         connected(|a, _b, cqp, ccq, _sqp, _scq| async move {
-            assert_eq!(cqp.post_batch(&[]), Err(RdmaError::InvalidHandle));
+            assert_eq!(cqp.post(&[]), Err(RdmaError::InvalidHandle));
             a.sim().sleep(Duration::from_micros(20)).await;
             assert!(ccq.is_empty());
             assert_eq!(a.metrics().counter("rdma.doorbells"), 0);
@@ -2485,7 +2165,7 @@ mod tests {
                 addr: empty.addr,
                 len: 0,
             };
-            cqp.post_write(1, zero, mr.token().at(0, 0).unwrap())
+            cqp.post(&[Wr::write(1, zero, mr.token().at(0, 0).unwrap())])
                 .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(
@@ -2522,7 +2202,8 @@ mod tests {
                     remote: mr.token().at(i as u64 * 4, 4).unwrap(),
                 })
                 .collect();
-            cqp.post_read_sge(7, SgeList::new(&elems).unwrap()).unwrap();
+            cqp.post(&[Wr::new(7, WrOp::Read, SgeList::new(&elems).unwrap())])
+                .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(cqe.wr_id, 7);
             assert_eq!(cqe.status, CqStatus::Success);
@@ -2540,6 +2221,30 @@ mod tests {
     }
 
     #[test]
+    fn one_element_gather_read_lands_its_bytes() {
+        // A gather list of one is the plain READ: its bytes land in the
+        // element's buffer, not just a Success CQE over untouched memory.
+        connected(|a, b, cqp, ccq, _sqp, _scq| async move {
+            let server_buf = b.alloc_init(b"lonely piece").unwrap();
+            let mr = b.reg_mr(server_buf, Access::REMOTE_READ).unwrap();
+            let dst = a.alloc(12).unwrap();
+            let one = SgeList::new(&[Sge {
+                local: dst,
+                remote: mr.token().at(0, 12).unwrap(),
+            }])
+            .unwrap();
+            cqp.post(&[Wr::new(3, WrOp::Read, one)]).unwrap();
+            let cqe = ccq.next().await;
+            assert_eq!(
+                (cqe.wr_id, cqe.status, cqe.byte_len),
+                (3, CqStatus::Success, 12)
+            );
+            assert_eq!(a.read_mem(dst.addr, 12).unwrap(), b"lonely piece");
+            assert_eq!(a.metrics().counter("rdma.sge_wrs"), 0);
+        });
+    }
+
+    #[test]
     fn sge_write_scatters_with_one_doorbell() {
         connected(|a, b, cqp, ccq, _sqp, _scq| async move {
             let server_buf = b.alloc_init(&[0u8; 16]).unwrap();
@@ -2553,7 +2258,7 @@ mod tests {
                     remote: mr.token().at(i as u64 * 4, 4).unwrap(),
                 })
                 .collect();
-            cqp.post_write_sge(8, SgeList::new(&elems).unwrap())
+            cqp.post(&[Wr::new(8, WrOp::Write, SgeList::new(&elems).unwrap())])
                 .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(
@@ -2611,7 +2316,8 @@ mod tests {
                     },
                 },
             ];
-            cqp.post_read_sge(9, SgeList::new(&elems).unwrap()).unwrap();
+            cqp.post(&[Wr::new(9, WrOp::Read, SgeList::new(&elems).unwrap())])
+                .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(cqe.wr_id, 9);
             assert_eq!(cqe.status, CqStatus::RemoteAccess);
@@ -2635,9 +2341,9 @@ mod tests {
                     remote: mr.token().at(4 + i * 4, 4).unwrap(),
                 })
                 .collect();
-            cqp.post_batch(&[
-                BatchWr::read(1, plain, mr.token().at(0, 4).unwrap()).unsignaled(),
-                BatchWr::read_sge(2, SgeList::new(&elems).unwrap()),
+            cqp.post(&[
+                Wr::read(1, plain, mr.token().at(0, 4).unwrap()).unsignaled(),
+                Wr::new(2, WrOp::Read, SgeList::new(&elems).unwrap()),
             ])
             .unwrap();
             let cqe = ccq.next().await;
@@ -2686,9 +2392,10 @@ mod tests {
             let server_buf = b.alloc(32).unwrap();
             let mr = b.reg_mr(server_buf, Access::REMOTE_WRITE).unwrap();
 
-            // Inline write straight from a host slice: no DmaBuf involved.
+            // Inline write: the payload is copied into the WQE at post time.
+            let img = a.alloc_init(b"inline-hello").unwrap();
             let t0 = a.sim().now();
-            cqp.post_write_inline(1, b"inline-hello", mr.token().at(0, 12).unwrap())
+            cqp.post(&[Wr::write(1, img, mr.token().at(0, 12).unwrap()).inline()])
                 .unwrap();
             let cqe = ccq.next().await;
             let inline_rtt = a.sim().now() - t0;
@@ -2702,7 +2409,7 @@ mod tests {
             // the full post_overhead is charged instead of the inline cost.
             let src = a.alloc_init(b"regular-hullo").unwrap();
             let t1 = a.sim().now();
-            cqp.post_write(2, src, mr.token().at(0, 13).unwrap())
+            cqp.post(&[Wr::write(2, src, mr.token().at(0, 13).unwrap())])
                 .unwrap();
             ccq.next().await;
             let regular_rtt = a.sim().now() - t1;
@@ -2719,11 +2426,12 @@ mod tests {
     #[test]
     fn inline_write_rejected_when_disabled_or_oversized() {
         // Default config: inline posting disabled outright.
-        connected(|_a, b, cqp, _ccq, _sqp, _scq| async move {
+        connected(|a, b, cqp, _ccq, _sqp, _scq| async move {
             let server_buf = b.alloc(8).unwrap();
             let mr = b.reg_mr(server_buf, Access::REMOTE_WRITE).unwrap();
+            let src = a.alloc_init(b"x").unwrap();
             let err = cqp
-                .post_write_inline(1, b"x", mr.token().at(0, 1).unwrap())
+                .post(&[Wr::write(1, src, mr.token().at(0, 1).unwrap()).inline()])
                 .unwrap_err();
             assert!(matches!(err, RdmaError::OutOfBounds { .. }));
         });
@@ -2736,15 +2444,17 @@ mod tests {
         connected_cfg(cfg, |a, b, cqp, ccq, _sqp, _scq| async move {
             let server_buf = b.alloc(16).unwrap();
             let mr = b.reg_mr(server_buf, Access::REMOTE_WRITE).unwrap();
+            let nine = a.alloc_init(b"nine-bytes").unwrap();
             let err = cqp
-                .post_write_inline(1, b"nine-bytes", mr.token().at(0, 10).unwrap())
+                .post(&[Wr::write(1, nine, mr.token().at(0, 10).unwrap()).inline()])
                 .unwrap_err();
             assert!(matches!(err, RdmaError::OutOfBounds { len: 10, .. }));
             a.sim().sleep(Duration::from_micros(20)).await;
             assert!(ccq.is_empty());
             assert_eq!(a.metrics().counter("rdma.doorbells"), 0);
             // At the cap it goes through.
-            cqp.post_write_inline(2, b"88888888", mr.token().at(0, 8).unwrap())
+            let eight = a.alloc_init(b"88888888").unwrap();
+            cqp.post(&[Wr::write(2, eight, mr.token().at(0, 8).unwrap()).inline()])
                 .unwrap();
             assert_eq!(ccq.next().await.status, CqStatus::Success);
         });
@@ -2758,7 +2468,7 @@ mod tests {
             let server_buf = b.alloc_init(b"batch-of-1!!").unwrap();
             let mr = b.reg_mr(server_buf, Access::REMOTE_READ).unwrap();
             let dst = a.alloc(12).unwrap();
-            cqp.post_batch(&[BatchWr::read(9, dst, mr.token().at(0, 12).unwrap())])
+            cqp.post(&[Wr::read(9, dst, mr.token().at(0, 12).unwrap())])
                 .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(cqe.wr_id, 9);
@@ -2778,10 +2488,10 @@ mod tests {
             let mr = b.reg_mr(server_buf, Access::REMOTE_WRITE).unwrap();
             // 8 writes, only the last signaled: fabric side effects for all,
             // exactly one CQE, one doorbell.
-            let wrs: Vec<BatchWr> = (0..8u64)
+            let wrs: Vec<Wr> = (0..8u64)
                 .map(|i| {
                     let src = a.alloc_init(&[i as u8; 8]).unwrap();
-                    let wr = BatchWr::write(i, src, mr.token().at(i * 8, 8).unwrap());
+                    let wr = Wr::write(i, src, mr.token().at(i * 8, 8).unwrap());
                     if i == 7 {
                         wr
                     } else {
@@ -2789,7 +2499,7 @@ mod tests {
                     }
                 })
                 .collect();
-            cqp.post_batch(&wrs).unwrap();
+            cqp.post(&wrs).unwrap();
             let cqe = ccq.next().await;
             assert_eq!(cqe.wr_id, 7, "only the last WR signals");
             assert!(cqe.status.is_ok());
@@ -2826,13 +2536,13 @@ mod tests {
             // Default max_batch is 16: 20 reads ring exactly two doorbells.
             let server_buf = b2.alloc(20 * 4).unwrap();
             let mr = b2.reg_mr(server_buf, Access::REMOTE_READ).unwrap();
-            let wrs: Vec<BatchWr> = (0..20u64)
+            let wrs: Vec<Wr> = (0..20u64)
                 .map(|i| {
                     let dst = a.alloc(4).unwrap();
-                    BatchWr::read(i, dst, mr.token().at(i * 4, 4).unwrap())
+                    Wr::read(i, dst, mr.token().at(i * 4, 4).unwrap())
                 })
                 .collect();
-            cqp.post_batch(&wrs).unwrap();
+            cqp.post(&wrs).unwrap();
             for i in 0..20u64 {
                 let cqe = ccq.next().await;
                 assert_eq!(cqe.wr_id, i);
@@ -2854,9 +2564,9 @@ mod tests {
                 addr: 0xDEAD_0000,
                 len: 8,
             };
-            let err = cqp.post_batch(&[
-                BatchWr::read(1, good, mr.token().at(0, 8).unwrap()),
-                BatchWr::read(2, bogus, mr.token().at(8, 8).unwrap()),
+            let err = cqp.post(&[
+                Wr::read(1, good, mr.token().at(0, 8).unwrap()),
+                Wr::read(2, bogus, mr.token().at(8, 8).unwrap()),
             ]);
             assert!(matches!(err, Err(RdmaError::OutOfBounds { .. })));
             // Pre-validation: the good WR must not have been posted either.
@@ -2877,10 +2587,10 @@ mod tests {
             // suppressed).
             let fabric_down = b.clone();
             fabric_down.fabric.set_node_up(b.node(), false);
-            let wrs: Vec<BatchWr> = (0..4u64)
+            let wrs: Vec<Wr> = (0..4u64)
                 .map(|i| {
                     let dst = a.alloc(8).unwrap();
-                    let wr = BatchWr::read(i, dst, mr.token().at(i * 8, 8).unwrap());
+                    let wr = Wr::read(i, dst, mr.token().at(i * 8, 8).unwrap());
                     if i == 3 {
                         wr
                     } else {
@@ -2888,7 +2598,7 @@ mod tests {
                     }
                 })
                 .collect();
-            cqp.post_batch(&wrs).unwrap();
+            cqp.post(&wrs).unwrap();
             let mut seen = Vec::new();
             for _ in 0..4 {
                 let cqe = ccq.next().await;
@@ -2903,7 +2613,7 @@ mod tests {
             assert!(cqp.is_errored());
             // Posting to the errored QP is rejected batch-wide.
             let dst = a.alloc(8).unwrap();
-            let err = cqp.post_batch(&[BatchWr::read(9, dst, mr.token().at(0, 8).unwrap())]);
+            let err = cqp.post(&[Wr::read(9, dst, mr.token().at(0, 8).unwrap())]);
             assert_eq!(err, Err(RdmaError::QpError));
         });
     }
@@ -2918,23 +2628,21 @@ mod tests {
                 let server_buf = b.alloc(16 * 64).unwrap();
                 let mr = b.reg_mr(server_buf, Access::REMOTE_READ).unwrap();
                 let t0 = a.sim().now();
-                let wrs: Vec<BatchWr> = (0..16u64)
+                let wrs: Vec<Wr> = (0..16u64)
                     .map(|i| {
                         let dst = a.alloc(64).unwrap();
-                        BatchWr::read(i, dst, mr.token().at(i * 64, 64).unwrap())
+                        Wr::read(i, dst, mr.token().at(i * 64, 64).unwrap())
                     })
                     .collect();
                 if batched {
-                    cqp.post_batch(&wrs).unwrap();
+                    cqp.post(&wrs).unwrap();
                     for _ in 0..16 {
                         assert!(ccq.next().await.status.is_ok());
                     }
                 } else {
                     for wr in &wrs {
-                        let BatchOp::Read { dst, remote } = wr.op else {
-                            unreachable!()
-                        };
-                        cqp.post_read(wr.wr_id, dst, remote).unwrap();
+                        let e = wr.sges.entries()[0];
+                        cqp.post_read(wr.wr_id, e.local, e.remote).unwrap();
                         assert!(ccq.next().await.status.is_ok());
                     }
                 }

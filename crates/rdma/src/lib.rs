@@ -6,8 +6,8 @@
 //! * **Setup/IO separation.** Memory must be allocated ([`RdmaDevice::alloc`])
 //!   and registered ([`RdmaDevice::reg_mr`]), and queue pairs connected
 //!   ([`RdmaDevice::connect`] / [`Listener::accept`]) before any IO — the
-//!   expensive control path. IO itself (`post_read`/`post_write`) is cheap
-//!   and asynchronous.
+//!   expensive control path. IO itself ([`Qp::post`] of a [`Wr`] list) is
+//!   cheap and asynchronous.
 //! * **One-sided operations.** RDMA READ/WRITE/atomics execute on the remote
 //!   *device dispatcher* (the simulated NIC), never on a remote application
 //!   task — remote CPU involvement is structurally zero.
@@ -66,7 +66,7 @@ pub mod wire;
 pub use config::RdmaConfig;
 pub use cq::{CompletionQueue, CqStatus, Cqe, CqeOpcode};
 pub use device::{
-    BatchOp, BatchWr, Listener, Mr, Qp, RdmaDevice, RemoteAddr, RemoteMr, Sge, SgeList, MAX_SGE,
+    Listener, Mr, Qp, RdmaDevice, RemoteAddr, RemoteMr, Sge, SgeList, Wr, WrOp, MAX_SGE,
 };
 pub use memory::{Arena, DmaBuf};
 pub use types::{Access, Qpn, RKey, RdmaError, Result};

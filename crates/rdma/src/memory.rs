@@ -322,6 +322,16 @@ impl Arena {
         Ok((*baddr, block))
     }
 
+    /// Checks that `[addr, addr + len)` lies within one allocation, without
+    /// touching its bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`RdmaError::OutOfBounds`] if it does not.
+    pub fn check_range(&self, addr: u64, len: u64) -> Result<()> {
+        self.containing_block(addr, len).map(|_| ())
+    }
+
     /// Copies bytes out of the arena. Synthetic allocations read as zeroes.
     ///
     /// # Errors

@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rstore::{AllocOptions, ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable};
+use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable};
 
 struct CountingAlloc;
 
@@ -80,15 +80,11 @@ macro_rules! steady {
 fn steady_state_ops_hold_allocation_floor() {
     let cluster = Cluster::boot(ClusterConfig {
         clients: 1,
-        // The raw-speed configuration: scatter-gather WRs for striped IO,
-        // inline posting for small slot publishes.
+        // The raw-speed configuration: inline posting for small slot
+        // publishes (striped IO always posts gather WRs).
         rdma: rdma::RdmaConfig {
             inline_max: 256,
             ..rdma::RdmaConfig::default()
-        },
-        client: ClientConfig {
-            sge: true,
-            ..ClientConfig::default()
         },
         ..ClusterConfig::with_servers(3)
     })
@@ -124,8 +120,8 @@ fn steady_state_ops_hold_allocation_floor() {
             .await
             .unwrap();
 
-        // A 4-stripe IO buffer: the scatter-gather path groups its pieces
-        // into multi-element WRs.
+        // A 4-stripe IO buffer: striped IO groups its pieces per server
+        // into multi-element gather WRs.
         let io = dev.alloc(16 * 1024).unwrap();
         dev.write_mem(io.addr, &vec![7u8; 16 * 1024]).unwrap();
         plain.write_from(0, io).await.unwrap();
@@ -137,22 +133,22 @@ fn steady_state_ops_hold_allocation_floor() {
         let key_refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
 
         // Region ops (plain + checksummed), 4 stripes per IO.
-        steady!("region.write", 197, plain.write_from(0, io).await.unwrap());
-        steady!("region.read", 202, plain.read_into(0, io).await.unwrap());
-        steady!("region.write_ck", 210, ck.write_from(0, io).await.unwrap());
-        steady!("region.read_ck", 206, ck.read_into(0, io).await.unwrap());
+        steady!("region.write", 164, plain.write_from(0, io).await.unwrap());
+        steady!("region.read", 164, plain.read_into(0, io).await.unwrap());
+        steady!("region.write_ck", 202, ck.write_from(0, io).await.unwrap());
+        steady!("region.read_ck", 165, ck.read_into(0, io).await.unwrap());
 
         // KV ops. A warm put is CAS + inline WRITE, so this also pins the
         // one-sided CAS path's allocation floor.
-        steady!("kv.get", 40, {
+        steady!("kv.get", 38, {
             assert!(kv.get(&keys[0]).await.unwrap().is_some());
         });
-        steady!("kv.put", 71, kv.put(&keys[0], &[9u8; 32]).await.unwrap());
-        steady!("kv.multi_get", 211, {
+        steady!("kv.put", 67, kv.put(&keys[0], &[9u8; 32]).await.unwrap());
+        steady!("kv.multi_get", 193, {
             let vals = kv.multi_get(&key_refs).await.unwrap();
             assert!(vals.iter().all(Option::is_some));
         });
-        steady!("kv.delete+put", 220, {
+        steady!("kv.delete+put", 208, {
             assert!(kv.delete(&keys[1]).await.unwrap());
             kv.put(&keys[1], &[9u8; 32]).await.unwrap();
         });
