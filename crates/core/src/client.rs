@@ -12,7 +12,7 @@ use fabric::NodeId;
 use rdma::{CompletionQueue, CqStatus, Qp, RdmaDevice, RdmaError};
 use sim::channel::oneshot;
 use sim::sync::{Semaphore, WaitGroup};
-use sim::{Sim, SimTime};
+use sim::{OpLedger, Sim, SimTime};
 
 use crate::error::{RStoreError, Result};
 use crate::proto::{
@@ -414,7 +414,10 @@ impl RStoreClient {
             return Err(RStoreError::Rdma(RdmaError::Timeout));
         }
         s.dev.metrics().incr("rstore.redial.attempts");
-        let result = s.dev.connect(NodeId(node), DATA_SERVICE, &s.data_cq).await;
+        // Like a control RPC, a redial is never charged to the op it
+        // recovers.
+        let connect = s.dev.connect(NodeId(node), DATA_SERVICE, &s.data_cq);
+        let result = OpLedger::disabled().scope(connect).await;
         let out = match result {
             Ok(qp) => {
                 s.conns.borrow_mut().insert(node, qp.clone());
@@ -450,7 +453,10 @@ impl RStoreClient {
             .tracer()
             .span("core", span_name, s.dev.node().0 as u64);
         let t0 = s.sim.now();
-        let result = async {
+        // Control-path posts are never charged to a data-path op that
+        // revalidates or remaps through here: the RPC runs under a
+        // disabled op context.
+        let rpc = async {
             let mut conn = match s.ctrl.borrow_mut().take() {
                 Some(c) => c,
                 None => {
@@ -466,8 +472,8 @@ impl RStoreClient {
                 }
                 Err(e) => Err(e),
             }
-        }
-        .await;
+        };
+        let result = OpLedger::disabled().scope(rpc).await;
         s.ctrl_sem.release();
         span.end();
         s.dev

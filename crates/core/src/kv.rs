@@ -93,11 +93,12 @@ use rdma::{CompletionQueue, CqStatus, CqeOpcode, DmaBuf, Qp, RdmaDevice, RemoteA
 use sim::{OpLedger, Phase, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::client::RStoreClient;
-use crate::error::{RStoreError, Result};
+use crate::error::{forensic_reason, RStoreError, Result};
 use crate::layout::Layout;
 use crate::proto::AllocOptions;
 use crate::region::Region;
@@ -570,8 +571,9 @@ impl KvTable {
             buckets,
             slot_bytes: cfg.slot_bytes,
         };
-        let none = OpLedger::disabled();
-        if let Err(e) = meta.write_l(0, &m.encode(), &none).await {
+        // Table setup is not a data-path op: it charges no `ops.*` row.
+        let image = m.encode();
+        if let Err(e) = OpLedger::disabled().scope(meta.write(0, &image)).await {
             let _ = client.free(&gen_name(name, 1)).await;
             let _ = client.free(name).await;
             return Err(e);
@@ -626,13 +628,13 @@ impl KvTable {
         } else {
             client.map(name).await?
         };
-        let none = OpLedger::disabled();
         let sim = client.device().sim().clone();
         let deadline = sim.now() + RESIZE_WAIT_BUDGET;
         // A resize may be publishing a new generation right now: wait out an
         // odd epoch, and retry a map that loses the race with the flip.
         loop {
-            let m = TableMeta::decode(&meta.read_l(0, META_BYTES, &none).await?)?;
+            let read = OpLedger::disabled().scope(meta.read(0, META_BYTES));
+            let m = TableMeta::decode(&read.await?)?;
             if m.slot_bytes != slot_bytes {
                 return Err(RStoreError::Protocol(format!(
                     "slot_bytes mismatch: table has {}, caller expects {slot_bytes}",
@@ -790,31 +792,14 @@ impl KvTable {
     /// [`RStoreError::Protocol`] if the key exceeds the slot;
     /// [`RStoreError::CorruptionDetected`] for structurally invalid slots.
     pub async fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let ledger = self.meta.op_ledger("get");
-        let result = self.get_l(key, &ledger).await;
-        self.meta.finish_ledger_res(&ledger, &result);
-        result
+        let get = || async {
+            self.check_key(key)?;
+            self.retry_stale_generation(|| self.get_once(key)).await
+        };
+        self.meta.run_op("get", 1, get).await
     }
 
-    /// [`get`](Self::get) charging an existing ledger (used by `multi_get`
-    /// fallbacks so chained probes stay attributed to the batch op).
-    async fn get_l(&self, key: &[u8], ledger: &OpLedger) -> Result<Option<Vec<u8>>> {
-        self.check_key(key)?;
-        let mut revalidated = false;
-        loop {
-            match self.get_once(key, ledger).await {
-                Err(e) if !revalidated && stale_generation_status(&e) => {
-                    revalidated = true;
-                    if !self.revalidate_generation(ledger).await? {
-                        return Err(e);
-                    }
-                }
-                r => return r,
-            }
-        }
-    }
-
-    async fn get_once(&self, key: &[u8], ledger: &OpLedger) -> Result<Option<Vec<u8>>> {
+    async fn get_once(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let (generation, mask, data) = self.snapshot();
         let payload = (self.slot_bytes - HDR_BYTES) as usize;
 
@@ -822,7 +807,7 @@ impl KvTable {
         // stored in the slot validates the hint — no version check needed
         // for reads.
         if let Some(h) = self.hint_for(generation, key) {
-            self.read_slot_into_probe_buf(&data, h.slot, ledger).await?;
+            self.read_slot_into_probe_buf(&data, h.slot).await?;
             let version = self.dev.read_u64(self.probe_buf.addr)?;
             if version % 2 == 1 {
                 // A writer is mid-publish on this slot; the probing path
@@ -867,7 +852,7 @@ impl KvTable {
                 // Land the slot image in the table-lifetime probe buffer
                 // (no staging alloc/free per probe) and peek the version
                 // word; the full parse below reads the same snapshot.
-                self.read_slot_into_probe_buf(&data, slot, ledger).await?;
+                self.read_slot_into_probe_buf(&data, slot).await?;
                 let word = self.dev.read_u64(self.probe_buf.addr)?;
                 if word % 2 == 0 {
                     break;
@@ -876,8 +861,8 @@ impl KvTable {
                 // so a lock orphaned by a crashed writer surfaces as an IO
                 // error rather than an infinite spin — unless the watch
                 // proves it orphaned, in which case it is broken in place.
-                ledger.retry();
-                self.lock_wait_on(&data, &mut watch, deadline, slot, word, ledger)
+                OpLedger::current().retry();
+                self.lock_wait_on(&data, &mut watch, deadline, slot, word)
                     .await?;
             }
             let view = {
@@ -906,14 +891,8 @@ impl KvTable {
         Ok(None)
     }
 
-    async fn read_slot_into_probe_buf(
-        &self,
-        data: &Region,
-        slot: u64,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        data.read_into_l(slot * self.slot_bytes, self.probe_buf, ledger)
-            .await
+    async fn read_slot_into_probe_buf(&self, data: &Region, slot: u64) -> Result<()> {
+        data.read_into(slot * self.slot_bytes, self.probe_buf).await
     }
 
     /// Looks up many keys, batching the first probe of every key into one
@@ -937,41 +916,27 @@ impl KvTable {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let ledger = self.meta.op_ledger("multi_get");
-        ledger.set_units(keys.len() as u64);
-        let mut revalidated = false;
-        let result = loop {
-            // Stage through the data region's buffer pool: a steady-state
-            // batch of the same size reuses one arena buffer instead of an
-            // alloc/free pair per call.
-            let data = self.snapshot().2;
-            let staging = match data.take_staging(self.slot_bytes * keys.len() as u64) {
-                Ok(b) => b,
-                Err(e) => break Err(e),
-            };
-            let r = self.multi_get_staged(keys, staging, &ledger).await;
-            data.put_staging(staging);
-            match r {
-                Err(e) if !revalidated && stale_generation_status(&e) => {
-                    revalidated = true;
-                    match self.revalidate_generation(&ledger).await {
-                        Ok(true) => continue,
-                        Ok(false) => break Err(e),
-                        Err(e2) => break Err(e2),
-                    }
-                }
-                r => break r,
-            }
+        let batch = || {
+            self.retry_stale_generation(|| async {
+                // Stage through the data region's buffer pool: a steady-state
+                // batch of the same size reuses one arena buffer instead of an
+                // alloc/free pair per call.
+                let data = self.snapshot().2;
+                let staging = data.take_staging(self.slot_bytes * keys.len() as u64)?;
+                let r = self.multi_get_staged(keys, staging).await;
+                data.put_staging(staging);
+                r
+            })
         };
-        self.meta.finish_ledger_res(&ledger, &result);
-        result
+        self.meta
+            .run_op("multi_get", keys.len() as u64, batch)
+            .await
     }
 
     async fn multi_get_staged(
         &self,
         keys: &[&[u8]],
         staging: DmaBuf,
-        ledger: &OpLedger,
     ) -> Result<Vec<Option<Vec<u8>>>> {
         let (generation, mask, data) = self.snapshot();
         let payload = (self.slot_bytes - HDR_BYTES) as usize;
@@ -984,7 +949,7 @@ impl KvTable {
                 staging.slice(i as u64 * self.slot_bytes, self.slot_bytes),
             ));
         }
-        let posted = data.read_into_many_l(&ios, ledger).await;
+        let posted = data.read_into_many(&ios).await;
         *self.ios_scratch.borrow_mut() = ios;
         posted?;
         let mut out = Vec::with_capacity(keys.len());
@@ -1031,7 +996,7 @@ impl KvTable {
                     );
                     out.push(Some(v));
                 }
-                First::Chain => out.push(self.get_l(key, ledger).await?),
+                First::Chain => out.push(self.get(key).await?),
             }
         }
         Ok(out)
@@ -1095,29 +1060,15 @@ impl KvTable {
                 self.slot_bytes - HDR_BYTES
             )));
         }
-        let ledger = self.meta.op_ledger("put");
-        let result = self.put_l(key, value, &ledger).await;
-        self.meta.finish_ledger_res(&ledger, &result);
-        result
+        let put = || async {
+            self.ensure_write_lease().await?;
+            self.retry_stale_generation(|| self.put_once(key, value))
+                .await
+        };
+        self.meta.run_op("put", 1, put).await
     }
 
-    async fn put_l(&self, key: &[u8], value: &[u8], ledger: &OpLedger) -> Result<()> {
-        self.ensure_write_lease(ledger).await?;
-        let mut revalidated = false;
-        loop {
-            match self.put_once(key, value, ledger).await {
-                Err(e) if !revalidated && stale_generation_status(&e) => {
-                    revalidated = true;
-                    if !self.revalidate_generation(ledger).await? {
-                        return Err(e);
-                    }
-                }
-                r => return r,
-            }
-        }
-    }
-
-    async fn put_once(&self, key: &[u8], value: &[u8], ledger: &OpLedger) -> Result<()> {
+    async fn put_once(&self, key: &[u8], value: &[u8]) -> Result<()> {
         let (generation, mask, data) = self.snapshot();
         let deadline = self.dev.sim().now() + LOCK_WAIT_BUDGET;
 
@@ -1128,17 +1079,16 @@ impl KvTable {
         if let Some(h) = self.hint_for(generation, key) {
             let lock = lock_word(h.version, next_nonce());
             match self
-                .cas_word(&data, h.slot * self.slot_bytes, h.version, lock, ledger)
+                .cas_word(&data, h.slot * self.slot_bytes, h.version, lock)
                 .await
             {
                 Ok(true) => {
                     self.bump("kv.index.hit");
                     if let Err(e) = self
-                        .write_and_unlock(&data, h.slot, h.version, key, value, ledger)
+                        .write_and_unlock(&data, h.slot, h.version, key, value)
                         .await
                     {
-                        self.abort_locked_slot(&data, h.slot, h.version, ledger)
-                            .await;
+                        self.abort_locked_slot(&data, h.slot, h.version).await;
                         self.drop_hint(key, "kv.index.invalidate");
                         return Err(e);
                     }
@@ -1158,7 +1108,7 @@ impl KvTable {
                     self.drop_hint(key, "kv.index.stale");
                 }
                 Err(e) => {
-                    self.recover_ambiguous_cas(&data, h.slot, h.version, lock, ledger)
+                    self.recover_ambiguous_cas(&data, h.slot, h.version, lock)
                         .await;
                     self.drop_hint(key, "kv.index.invalidate");
                     return Err(e);
@@ -1179,7 +1129,7 @@ impl KvTable {
                 // Land the slot in the table-lifetime probe buffer — no
                 // staging or Vec per probe — and classify it in one scoped
                 // pass over the host copy.
-                self.read_slot_into_probe_buf(&data, slot, ledger).await?;
+                self.read_slot_into_probe_buf(&data, slot).await?;
                 let (version, klen, matched) = {
                     let mut img = self.probe_scratch.borrow_mut();
                     self.dev.read_mem_into(self.probe_buf.addr, &mut img)?;
@@ -1212,8 +1162,8 @@ impl KvTable {
                     // our key, retry the whole operation after a bounded
                     // backoff (breaking the lock first if the watch proves
                     // it orphaned).
-                    ledger.retry();
-                    self.lock_wait_on(&data, &mut watch, deadline, slot, version, ledger)
+                    OpLedger::current().retry();
+                    self.lock_wait_on(&data, &mut watch, deadline, slot, version)
                         .await?;
                     continue 'retry;
                 }
@@ -1229,18 +1179,17 @@ impl KvTable {
             // before the error surfaces, so it can never orphan the lock.
             let lock = lock_word(version, next_nonce());
             let won = match self
-                .cas_word(&data, slot * self.slot_bytes, version, lock, ledger)
+                .cas_word(&data, slot * self.slot_bytes, version, lock)
                 .await
             {
                 Ok(w) => w,
                 Err(e) => {
-                    self.recover_ambiguous_cas(&data, slot, version, lock, ledger)
-                        .await;
+                    self.recover_ambiguous_cas(&data, slot, version, lock).await;
                     return Err(e);
                 }
             };
             if !won {
-                ledger.retry();
+                OpLedger::current().retry();
                 self.lock_wait(deadline).await?;
                 continue 'retry;
             }
@@ -1248,12 +1197,12 @@ impl KvTable {
             // Publish: the whole slot image — new version word, header, key,
             // value — in one WRITE, which is also the unlock.
             if let Err(e) = self
-                .write_and_unlock(&data, slot, version, key, value, ledger)
+                .write_and_unlock(&data, slot, version, key, value)
                 .await
             {
                 // The op was never acknowledged: abort the slot so the lock
                 // is not orphaned on the replicas that are still reachable.
-                self.abort_locked_slot(&data, slot, version, ledger).await;
+                self.abort_locked_slot(&data, slot, version).await;
                 return Err(e);
             }
             self.install_hint(
@@ -1292,26 +1241,21 @@ impl KvTable {
         deadline: SimTime,
         slot: u64,
         word: u64,
-        ledger: &OpLedger,
     ) -> Result<()> {
-        let now = self.dev.sim().now();
+        let sim = self.dev.sim();
+        let now = sim.now();
         watch.observe(slot, word, now);
-        let trace = ledger.optrace();
         if now >= deadline {
             if let Some((slot, lock)) = watch.breakable(now) {
                 watch.spent = true;
-                let span = trace.begin(Phase::LockBreak, now);
-                let healed = self.break_orphaned_lock(data, slot, lock, ledger).await;
-                trace.end(span, self.dev.sim().now());
-                if healed {
+                let heal = || self.break_orphaned_lock(data, slot, lock);
+                if sim.phase(Phase::LockBreak, heal).await {
                     return Ok(());
                 }
             }
             return Err(RStoreError::Io(CqStatus::Timeout));
         }
-        let span = trace.begin(Phase::LockWait, now);
-        self.dev.sim().sleep(LOCK_BACKOFF).await;
-        trace.end(span, self.dev.sim().now());
+        sim.phase(Phase::LockWait, || sim.sleep(LOCK_BACKOFF)).await;
         Ok(())
     }
 
@@ -1323,16 +1267,10 @@ impl KvTable {
     /// if the owner is somehow still alive, either its release already
     /// landed (this CAS fails benignly) or its full-image publish supersedes
     /// the restored word. Returns whether the slot was healed.
-    async fn break_orphaned_lock(
-        &self,
-        data: &Region,
-        slot: u64,
-        lock: u64,
-        ledger: &OpLedger,
-    ) -> bool {
+    async fn break_orphaned_lock(&self, data: &Region, slot: u64, lock: u64) -> bool {
         let version = pre_lock_version(lock);
         match self
-            .cas_word(data, slot * self.slot_bytes, lock, version, ledger)
+            .cas_word(data, slot * self.slot_bytes, lock, version)
             .await
         {
             Ok(true) => {
@@ -1363,7 +1301,6 @@ impl KvTable {
         version: u64,
         key: &[u8],
         value: &[u8],
-        ledger: &OpLedger,
     ) -> Result<()> {
         let mut img = self.img_scratch.take();
         img.clear();
@@ -1373,9 +1310,7 @@ impl KvTable {
         img.extend_from_slice(&[0u8; 4]);
         img.extend_from_slice(key);
         img.extend_from_slice(value);
-        let result = data
-            .write_inline_l(slot * self.slot_bytes, &img, ledger)
-            .await;
+        let result = data.write_inline(slot * self.slot_bytes, &img).await;
         *self.img_scratch.borrow_mut() = img;
         result
     }
@@ -1387,24 +1322,17 @@ impl KvTable {
     /// surfaces that error, and errors here are deliberately swallowed (the
     /// servers still reachable get unlocked; repair rebuilds the rest from
     /// them).
-    async fn abort_locked_slot(&self, data: &Region, slot: u64, version: u64, ledger: &OpLedger) {
-        let _ = self.tombstone_and_unlock(data, slot, version, ledger).await;
+    async fn abort_locked_slot(&self, data: &Region, slot: u64, version: u64) {
+        let _ = self.tombstone_and_unlock(data, slot, version).await;
     }
 
     /// Tombstones a locked slot and releases the lock in one 16-byte WRITE:
     /// `[version + 2 | klen = 0 | vlen = 0 | pad]`. Small enough to post
     /// inline whenever the device allows it at all.
-    async fn tombstone_and_unlock(
-        &self,
-        data: &Region,
-        slot: u64,
-        version: u64,
-        ledger: &OpLedger,
-    ) -> Result<()> {
+    async fn tombstone_and_unlock(&self, data: &Region, slot: u64, version: u64) -> Result<()> {
         let mut img = [0u8; HDR_BYTES as usize];
         img[..8].copy_from_slice(&(version + 2).to_le_bytes());
-        data.write_inline_l(slot * self.slot_bytes, &img, ledger)
-            .await
+        data.write_inline(slot * self.slot_bytes, &img).await
     }
 
     /// Resolves a CAS whose completion was lost to an IO error. The swap may
@@ -1414,16 +1342,9 @@ impl KvTable {
     /// have produced exactly `lock`, so seeing it proves ownership and the
     /// slot is aborted; any other value means the swap lost or another
     /// writer holds a lock that its owner will release.
-    async fn recover_ambiguous_cas(
-        &self,
-        data: &Region,
-        slot: u64,
-        version: u64,
-        lock: u64,
-        ledger: &OpLedger,
-    ) {
+    async fn recover_ambiguous_cas(&self, data: &Region, slot: u64, version: u64, lock: u64) {
         if data
-            .read_into_l(slot * self.slot_bytes, self.probe_buf.slice(0, 8), ledger)
+            .read_into(slot * self.slot_bytes, self.probe_buf.slice(0, 8))
             .await
             .is_err()
         {
@@ -1433,7 +1354,7 @@ impl KvTable {
             return;
         };
         if word == lock {
-            self.abort_locked_slot(data, slot, version, ledger).await;
+            self.abort_locked_slot(data, slot, version).await;
         }
     }
 
@@ -1446,29 +1367,14 @@ impl KvTable {
     /// IO failures (including a bounded lock wait that times out).
     pub async fn delete(&self, key: &[u8]) -> Result<bool> {
         self.check_key(key)?;
-        let ledger = self.meta.op_ledger("delete");
-        let result = self.delete_l(key, &ledger).await;
-        self.meta.finish_ledger_res(&ledger, &result);
-        result
+        let delete = || async {
+            self.ensure_write_lease().await?;
+            self.retry_stale_generation(|| self.delete_once(key)).await
+        };
+        self.meta.run_op("delete", 1, delete).await
     }
 
-    async fn delete_l(&self, key: &[u8], ledger: &OpLedger) -> Result<bool> {
-        self.ensure_write_lease(ledger).await?;
-        let mut revalidated = false;
-        loop {
-            match self.delete_once(key, ledger).await {
-                Err(e) if !revalidated && stale_generation_status(&e) => {
-                    revalidated = true;
-                    if !self.revalidate_generation(ledger).await? {
-                        return Err(e);
-                    }
-                }
-                r => return r,
-            }
-        }
-    }
-
-    async fn delete_once(&self, key: &[u8], ledger: &OpLedger) -> Result<bool> {
+    async fn delete_once(&self, key: &[u8]) -> Result<bool> {
         let (generation, mask, data) = self.snapshot();
         let deadline = self.dev.sim().now() + LOCK_WAIT_BUDGET;
 
@@ -1476,17 +1382,13 @@ impl KvTable {
         if let Some(h) = self.hint_for(generation, key) {
             let lock = lock_word(h.version, next_nonce());
             match self
-                .cas_word(&data, h.slot * self.slot_bytes, h.version, lock, ledger)
+                .cas_word(&data, h.slot * self.slot_bytes, h.version, lock)
                 .await
             {
                 Ok(true) => {
                     self.bump("kv.index.hit");
-                    if let Err(e) = self
-                        .tombstone_and_unlock(&data, h.slot, h.version, ledger)
-                        .await
-                    {
-                        self.abort_locked_slot(&data, h.slot, h.version, ledger)
-                            .await;
+                    if let Err(e) = self.tombstone_and_unlock(&data, h.slot, h.version).await {
+                        self.abort_locked_slot(&data, h.slot, h.version).await;
                         self.drop_hint(key, "kv.index.invalidate");
                         return Err(e);
                     }
@@ -1495,7 +1397,7 @@ impl KvTable {
                 }
                 Ok(false) => self.drop_hint(key, "kv.index.stale"),
                 Err(e) => {
-                    self.recover_ambiguous_cas(&data, h.slot, h.version, lock, ledger)
+                    self.recover_ambiguous_cas(&data, h.slot, h.version, lock)
                         .await;
                     self.drop_hint(key, "kv.index.invalidate");
                     return Err(e);
@@ -1510,7 +1412,7 @@ impl KvTable {
             let start = hash_key(key) & mask;
             for probe in 0..self.max_probe.min(mask + 1) {
                 let slot = (start + probe) & mask;
-                self.read_slot_into_probe_buf(&data, slot, ledger).await?;
+                self.read_slot_into_probe_buf(&data, slot).await?;
                 let (version, klen, matched) = {
                     let mut img = self.probe_scratch.borrow_mut();
                     self.dev.read_mem_into(self.probe_buf.addr, &mut img)?;
@@ -1526,8 +1428,8 @@ impl KvTable {
                     return Ok(false);
                 }
                 if version % 2 == 1 {
-                    ledger.retry();
-                    self.lock_wait_on(&data, &mut watch, deadline, slot, version, ledger)
+                    OpLedger::current().retry();
+                    self.lock_wait_on(&data, &mut watch, deadline, slot, version)
                         .await?;
                     continue 'retry;
                 }
@@ -1540,28 +1442,24 @@ impl KvTable {
                 if matched {
                     let lock = lock_word(version, next_nonce());
                     let won = match self
-                        .cas_word(&data, slot * self.slot_bytes, version, lock, ledger)
+                        .cas_word(&data, slot * self.slot_bytes, version, lock)
                         .await
                     {
                         Ok(w) => w,
                         Err(e) => {
-                            self.recover_ambiguous_cas(&data, slot, version, lock, ledger)
-                                .await;
+                            self.recover_ambiguous_cas(&data, slot, version, lock).await;
                             return Err(e);
                         }
                     };
                     if !won {
-                        ledger.retry();
+                        OpLedger::current().retry();
                         self.lock_wait(deadline).await?;
                         continue 'retry;
                     }
                     // Tombstone + unlock in one WRITE; abort on IO failure
                     // so the lock is not orphaned.
-                    if let Err(e) = self
-                        .tombstone_and_unlock(&data, slot, version, ledger)
-                        .await
-                    {
-                        self.abort_locked_slot(&data, slot, version, ledger).await;
+                    if let Err(e) = self.tombstone_and_unlock(&data, slot, version).await {
+                        self.abort_locked_slot(&data, slot, version).await;
                         return Err(e);
                     }
                     self.drop_hint(key, "kv.index.invalidate");
@@ -1585,8 +1483,8 @@ impl KvTable {
     // --- epoch / generation maintenance --------------------------------------
 
     /// Reads and validates the meta block.
-    async fn read_meta(&self, ledger: &OpLedger) -> Result<TableMeta> {
-        let m = TableMeta::decode(&self.meta.read_l(0, META_BYTES, ledger).await?)?;
+    async fn read_meta(&self) -> Result<TableMeta> {
+        let m = TableMeta::decode(&self.meta.read(0, META_BYTES).await?)?;
         if m.slot_bytes != self.slot_bytes {
             return Err(RStoreError::Protocol(
                 "kv meta block changed slot_bytes under a live handle".into(),
@@ -1598,16 +1496,16 @@ impl KvTable {
     /// Admits a mutation: cheap no-op while the write lease is fresh; past
     /// it, one meta read revalidates the epoch (waiting out an in-flight
     /// resize) and renews the lease.
-    async fn ensure_write_lease(&self, ledger: &OpLedger) -> Result<()> {
+    async fn ensure_write_lease(&self) -> Result<()> {
         if self.dev.sim().now() < self.write_lease.get() {
             return Ok(());
         }
         let deadline = self.dev.sim().now() + RESIZE_WAIT_BUDGET;
         loop {
-            let m = self.read_meta(ledger).await?;
+            let m = self.read_meta().await?;
             if m.epoch % 2 == 0 {
                 if m.generation != self.state.borrow().generation {
-                    match self.remap(&m, ledger).await {
+                    match self.remap(&m).await {
                         Ok(()) => return Ok(()),
                         Err(RStoreError::NotFound(_)) => {} // raced a flip
                         Err(e) => return Err(e),
@@ -1624,6 +1522,26 @@ impl KvTable {
         }
     }
 
+    /// Runs `op` and, on its first stale-generation fault, revalidates
+    /// ([`revalidate_generation`](Self::revalidate_generation)) and runs it
+    /// once more — unless neither the generation nor the placement moved,
+    /// which surfaces the original fault.
+    async fn retry_stale_generation<T, F: Future<Output = Result<T>>>(
+        &self,
+        op: impl Fn() -> F,
+    ) -> Result<T> {
+        match op().await {
+            Err(e) if stale_generation_status(&e) => {
+                let reval = || self.revalidate_generation();
+                if !self.dev.sim().phase(Phase::Reval, reval).await? {
+                    return Err(e);
+                }
+                op().await
+            }
+            r => r,
+        }
+    }
+
     /// Reacts to a stale-generation fault (`RemoteAccess`: the data region
     /// was freed under us). Polls the meta block; if the generation moved,
     /// remaps and returns `true` (retry the op). If the generation is
@@ -1633,29 +1551,21 @@ impl KvTable {
     /// placement also returns `true`. Only when neither the generation nor
     /// the descriptor moved does this return `false` (surface the original
     /// error).
-    async fn revalidate_generation(&self, ledger: &OpLedger) -> Result<bool> {
-        let trace = ledger.optrace();
-        let span = trace.begin(Phase::Reval, self.dev.sim().now());
-        let result = self.revalidate_generation_inner(ledger).await;
-        trace.end(span, self.dev.sim().now());
-        result
-    }
-
-    async fn revalidate_generation_inner(&self, ledger: &OpLedger) -> Result<bool> {
+    async fn revalidate_generation(&self) -> Result<bool> {
         let now = self.dev.sim().now();
         let same_gen_deadline = now + STALE_GEN_BUDGET;
         let deadline = now + RESIZE_WAIT_BUDGET;
         loop {
-            let m = self.read_meta(ledger).await?;
+            let m = self.read_meta().await?;
             if m.epoch % 2 == 0 {
                 if m.generation != self.state.borrow().generation {
-                    match self.remap(&m, ledger).await {
+                    match self.remap(&m).await {
                         Ok(()) => return Ok(true),
                         Err(RStoreError::NotFound(_)) => {} // raced a flip
                         Err(e) => return Err(e),
                     }
                 } else if self.dev.sim().now() >= same_gen_deadline {
-                    return self.revalidate_placement(ledger).await;
+                    return self.revalidate_placement().await;
                 }
             }
             if self.dev.sim().now() >= deadline {
@@ -1670,10 +1580,10 @@ impl KvTable {
     /// Re-fetches the descriptor; a changed placement invalidates the slot
     /// hints' transport (not their slot numbers — geometry is unchanged) and
     /// is worth one retry.
-    async fn revalidate_placement(&self, ledger: &OpLedger) -> Result<bool> {
+    async fn revalidate_placement(&self) -> Result<bool> {
         let data = self.state.borrow().data.clone();
         let before = data.desc();
-        if data.revalidate(ledger).await.is_err() {
+        if data.revalidate().await.is_err() {
             // Lookup failed (e.g. the generation region raced a free):
             // nothing learned, surface the original fault.
             return Ok(false);
@@ -1688,7 +1598,7 @@ impl KvTable {
     /// Maps the generation named by `m` and swaps it in: hints die (they are
     /// generation-scoped), the write lease renews (the epoch was just seen
     /// even).
-    async fn remap(&self, m: &TableMeta, _ledger: &OpLedger) -> Result<()> {
+    async fn remap(&self, m: &TableMeta) -> Result<()> {
         if !m.buckets.is_power_of_two() {
             return Err(RStoreError::Protocol("kv meta block corrupt".into()));
         }
@@ -1738,15 +1648,14 @@ impl KvTable {
     /// allocation and IO failures. On error after the epoch flip, the
     /// epoch is restored even and the old generation stays live.
     pub async fn grow(&self, new_buckets: u64) -> Result<u64> {
-        let ledger = self.meta.op_ledger("resize");
-        let result = self.grow_l(new_buckets, &ledger).await;
-        self.meta.finish_ledger_res(&ledger, &result);
-        result
+        self.meta
+            .run_op("resize", 1, || self.resize(new_buckets))
+            .await
     }
 
-    async fn grow_l(&self, new_buckets: u64, ledger: &OpLedger) -> Result<u64> {
+    async fn resize(&self, new_buckets: u64) -> Result<u64> {
         let new_buckets = new_buckets.next_power_of_two();
-        let m = self.read_meta(ledger).await?;
+        let m = self.read_meta().await?;
         if m.epoch % 2 == 1 {
             return Err(RStoreError::Protocol("resize already in progress".into()));
         }
@@ -1757,14 +1666,14 @@ impl KvTable {
             )));
         }
         if m.generation != self.state.borrow().generation {
-            self.remap(&m, ledger).await?;
+            self.remap(&m).await?;
         }
 
         // Claim the resize: CAS the epoch odd. One resizer wins; everyone
         // else sees "in progress".
         let odd = m.epoch + 1;
         if !self
-            .cas_word(&self.meta.clone(), META_EPOCH_OFF, m.epoch, odd, ledger)
+            .cas_word(&self.meta.clone(), META_EPOCH_OFF, m.epoch, odd)
             .await?
         {
             return Err(RStoreError::Protocol(
@@ -1773,19 +1682,15 @@ impl KvTable {
         }
         // Propagate the odd epoch to every meta replica (the CAS hit the
         // primary only).
-        if let Err(e) = self
-            .meta
-            .write_l(META_EPOCH_OFF, &odd.to_le_bytes(), ledger)
-            .await
-        {
+        if let Err(e) = self.meta.write(META_EPOCH_OFF, &odd.to_le_bytes()).await {
             let _ = self
                 .meta
-                .write_l(META_EPOCH_OFF, &m.epoch.to_le_bytes(), ledger)
+                .write(META_EPOCH_OFF, &m.epoch.to_le_bytes())
                 .await;
             return Err(e);
         }
 
-        match self.copy_generation(&m, new_buckets, ledger).await {
+        match self.copy_generation(&m, new_buckets).await {
             Ok((new_data, moved)) => {
                 let flipped = TableMeta {
                     epoch: m.epoch + 2,
@@ -1795,14 +1700,14 @@ impl KvTable {
                 };
                 // Publish: generation and even epoch in one small write —
                 // atomic per replica, so no client can observe a half-flip.
-                if let Err(e) = self.meta.write_l(0, &flipped.encode(), ledger).await {
+                if let Err(e) = self.meta.write(0, &flipped.encode()).await {
                     let client = self.meta.client().clone();
                     let _ = client
                         .free(&gen_name(self.meta.name(), m.generation + 1))
                         .await;
                     let _ = self
                         .meta
-                        .write_l(META_EPOCH_OFF, &m.epoch.to_le_bytes(), ledger)
+                        .write(META_EPOCH_OFF, &m.epoch.to_le_bytes())
                         .await;
                     return Err(e);
                 }
@@ -1835,7 +1740,7 @@ impl KvTable {
                 // epoch so writers unblock.
                 let _ = self
                     .meta
-                    .write_l(META_EPOCH_OFF, &m.epoch.to_le_bytes(), ledger)
+                    .write(META_EPOCH_OFF, &m.epoch.to_le_bytes())
                     .await;
                 Err(e)
             }
@@ -1845,12 +1750,7 @@ impl KvTable {
     /// The copy phase of a resize: grace wait, bulk read of the old
     /// generation, rehash into a fresh image, allocate + upload the new
     /// generation. Returns the mapped new region and the live-entry count.
-    async fn copy_generation(
-        &self,
-        m: &TableMeta,
-        new_buckets: u64,
-        ledger: &OpLedger,
-    ) -> Result<(Region, u64)> {
+    async fn copy_generation(&self, m: &TableMeta, new_buckets: u64) -> Result<(Region, u64)> {
         // Every write admitted under a pre-flip lease finishes inside the
         // grace window (lease + lock-wait budget + healthy IO ≪ grace).
         self.dev.sim().sleep(RESIZE_GRACE).await;
@@ -1861,7 +1761,7 @@ impl KvTable {
         let mut off = 0u64;
         while off < old_bytes {
             let n = COPY_CHUNK.min(old_bytes - off);
-            let chunk = old.read_l(off, n, ledger).await?;
+            let chunk = old.read(off, n).await?;
             img_old[off as usize..(off + n) as usize].copy_from_slice(&chunk);
             off += n;
         }
@@ -1951,7 +1851,7 @@ impl KvTable {
             while off < total {
                 let n = COPY_CHUNK.min(total - off);
                 new_data
-                    .write_l(off, &img_new[off as usize..(off + n) as usize], ledger)
+                    .write(off, &img_new[off as usize..(off + n) as usize])
                     .await?;
                 off += n;
             }
@@ -1986,19 +1886,18 @@ impl KvTable {
         K: AsRef<[u8]>,
         V: AsRef<[u8]>,
     {
-        let ledger = self.meta.op_ledger("bulk_load");
-        let result = self.bulk_load_l(entries, &ledger).await;
-        self.meta.finish_ledger_res(&ledger, &result);
-        result
+        self.meta
+            .run_op("bulk_load", 1, || self.load(entries))
+            .await
     }
 
-    async fn bulk_load_l<I, K, V>(&self, entries: I, ledger: &OpLedger) -> Result<u64>
+    async fn load<I, K, V>(&self, entries: I) -> Result<u64>
     where
         I: IntoIterator<Item = (K, V)>,
         K: AsRef<[u8]>,
         V: AsRef<[u8]>,
     {
-        self.ensure_write_lease(ledger).await?;
+        self.ensure_write_lease().await?;
         let (_, mask, data) = self.snapshot();
         let buckets = mask + 1;
         let payload = (self.slot_bytes - HDR_BYTES) as usize;
@@ -2046,12 +1945,12 @@ impl KvTable {
             }
             count += 1;
         }
-        ledger.set_units(count);
+        OpLedger::current().set_units(count);
         let total = buckets * self.slot_bytes;
         let mut off = 0u64;
         while off < total {
             let n = COPY_CHUNK.min(total - off);
-            data.write_l(off, &img[off as usize..(off + n) as usize], ledger)
+            data.write(off, &img[off as usize..(off + n) as usize])
                 .await?;
             off += n;
         }
@@ -2064,18 +1963,12 @@ impl KvTable {
     /// One-sided CAS on an 8-byte word of `region` at byte `offset`; true if
     /// it won.
     ///
-    /// Records its own `cas` op ledger (when enabled), then folds the costs
-    /// into `parent` so the enclosing put/delete still accounts for the
-    /// whole logical mutation.
+    /// Records its own `cas` row ([`OpLedger::sub_op`] of the enclosing
+    /// op, when ledgers are on), then folds the costs into the enclosing
+    /// put/delete/resize so it still accounts for the whole logical
+    /// mutation. The CAS's spans land in the enclosing op's trace.
     #[allow(clippy::await_holding_refcell_ref)] // single-threaded sim
-    async fn cas_word(
-        &self,
-        region: &Region,
-        offset: u64,
-        expect: u64,
-        swap: u64,
-        parent: &OpLedger,
-    ) -> Result<bool> {
+    async fn cas_word(&self, region: &Region, offset: u64, expect: u64, swap: u64) -> Result<bool> {
         // Locate the extent holding the word — straight from the cached
         // layout, with no descriptor clone or piece vector per CAS.
         let (extent, off_in_stripe) = region.word_extent(offset)?;
@@ -2101,20 +1994,15 @@ impl KvTable {
             addr: extent.addr + off_in_stripe,
             rkey: rdma::RKey(extent.rkey),
         };
-        let cas_ledger = if parent.enabled() {
-            self.meta.op_ledger("cas")
-        } else {
-            OpLedger::disabled()
-        };
+        let parent = OpLedger::current();
+        let cas = parent.sub_op(&self.dev.metrics(), "cas", self.dev.sim().now());
         let result = async {
-            {
-                let _scope = self.dev.ledger_scope(&cas_ledger);
-                qp.post(&[Wr::cas(1, self.scratch.slice(0, 8), remote, expect, swap)])?;
-            }
+            let wr = Wr::cas(1, self.scratch.slice(0, 8), remote, expect, swap);
+            cas.enter(|| qp.post(&[wr]))?;
             loop {
                 let cqe = self.atomic_cq.next().await;
                 if cqe.opcode == CqeOpcode::CompSwap {
-                    cas_ledger.rtt();
+                    cas.rtt();
                     if cqe.status != CqStatus::Success {
                         return Err(RStoreError::Io(cqe.status));
                     }
@@ -2125,8 +2013,9 @@ impl KvTable {
             Ok(old == expect)
         }
         .await;
-        self.meta.finish_ledger_res(&cas_ledger, &result);
-        parent.absorb(&cas_ledger);
+        let error = result.as_ref().err().and_then(forensic_reason);
+        cas.finish_with(self.dev.sim().now(), error);
+        parent.absorb(&cas);
         result
     }
 }
@@ -2417,6 +2306,45 @@ mod tests {
     }
 
     #[test]
+    fn put_trace_records_its_cas() {
+        // The CAS a put issues keeps its own `ops.cas` ledger row, but its
+        // post, wire and server spans belong to the put's trace: the put's
+        // flight-recorder record blames every posting nanosecond the
+        // ledger charged it, and no separate `cas` op is recorded.
+        let cluster = boot(1);
+        let sim = cluster.sim.clone();
+        sim.block_on(async move {
+            let client = cluster
+                .client_with(
+                    0,
+                    crate::client::ClientConfig {
+                        ledger: true,
+                        ..Default::default()
+                    },
+                )
+                .await
+                .unwrap();
+            let kv = KvTable::create(&client, "cas-trace", small_cfg())
+                .await
+                .unwrap();
+            let forensics = client.device().sim().forensics();
+            forensics.enable(sim::ForensicsConfig::default());
+            let metrics = client.device().metrics();
+            metrics.reset();
+            kv.put(b"key", b"value").await.unwrap();
+            assert_eq!(metrics.counter("ops.cas.count"), 1, "the cas row stays");
+            let ring = forensics.ring();
+            let kinds: Vec<&str> = ring.iter().map(|r| r.kind).collect();
+            assert_eq!(kinds, ["put"], "no separate cas op is recorded");
+            assert_eq!(
+                ring[0].blame[Phase::Post as usize],
+                metrics.counter("ops.put.time.post_ns"),
+                "the put's trace carries the CAS's post span"
+            );
+        });
+    }
+
+    #[test]
     fn hinted_get_is_one_rtt_even_under_collisions() {
         // Crowd 6 keys into 8 buckets so probe chains are inevitable, on a
         // handle whose hints were populated by probing (not by put): every
@@ -2698,8 +2626,8 @@ mod tests {
             hdr[..8].copy_from_slice(&2u64.to_le_bytes());
             hdr[8..10].copy_from_slice(&0xFFFFu16.to_le_bytes());
             hdr[10..12].copy_from_slice(&0xFFFFu16.to_le_bytes());
-            let none = OpLedger::disabled();
-            raw.write_l(slot * cfg.slot_bytes, &hdr, &none)
+            OpLedger::disabled()
+                .scope(raw.write(slot * cfg.slot_bytes, &hdr))
                 .await
                 .unwrap();
 

@@ -174,6 +174,98 @@ mod tests {
     }
 
     #[test]
+    fn public_op_inside_an_op_joins_it() {
+        // A public op run inside another op charges that op and adds no
+        // `ops.<op>` row of its own: the enclosing op's costs are exactly
+        // the sum of the same ops run standalone.
+        let cluster = boot(3);
+        let sim = cluster.sim.clone();
+        sim.block_on(async move {
+            let cfg = ClientConfig {
+                ledger: true,
+                ..ClientConfig::default()
+            };
+            let client = cluster.client_with(0, cfg).await.unwrap();
+            let dev = client.device().clone();
+            let opts = AllocOptions {
+                stripe_size: 4096,
+                ..AllocOptions::default()
+            };
+            let region = client.alloc("nested", 64 * 1024, opts).await.unwrap();
+            let data = vec![7u8; 16 * 1024];
+            let dst = dev.alloc(data.len() as u64).unwrap();
+            let metrics = dev.metrics();
+            let io = || async {
+                region.write(0, &data).await.unwrap();
+                region.read_into(0, dst).await.unwrap();
+            };
+
+            metrics.reset();
+            io().await;
+            let standalone = sim::ledger::summarize(&metrics);
+            let ops: Vec<&str> = standalone.iter().map(|o| o.op.as_str()).collect();
+            assert_eq!(ops, ["read", "write"]);
+
+            metrics.reset();
+            let outer = sim::OpLedger::start(&metrics, "outer", dev.sim().now());
+            outer.scope(io()).await;
+            outer.finish(dev.sim().now());
+            let nested = sim::ledger::summarize(&metrics);
+            assert_eq!(nested.len(), 1, "only the enclosing op: {nested:?}");
+            let sum = |f: fn(&sim::OpSummary) -> u64| standalone.iter().map(f).sum::<u64>();
+            assert_eq!(nested[0].rtts_total, sum(|o| o.rtts_total));
+            assert_eq!(nested[0].doorbells_total, sum(|o| o.doorbells_total));
+            assert_eq!(nested[0].bytes_total, sum(|o| o.bytes_total));
+            assert_eq!(nested[0].post_ns, sum(|o| o.post_ns));
+            dev.free(dst).unwrap();
+        });
+    }
+
+    #[test]
+    fn stale_read_revalidation_charges_no_control_rpc() {
+        // A read through a descriptor that a drain made stale fails on the
+        // moved extent, revalidates through a lookup RPC to the master, and
+        // retries. The lookup is control path: the read's row charges only
+        // its data-path posts.
+        let cluster = boot(3);
+        let sim = cluster.sim.clone();
+        sim.block_on(async move {
+            let cfg = ClientConfig {
+                ledger: true,
+                ..ClientConfig::default()
+            };
+            let client = cluster.client_with(0, cfg).await.unwrap();
+            let dev = client.device().clone();
+            let opts = AllocOptions {
+                stripe_size: 64 * 1024,
+                ..AllocOptions::default()
+            };
+            let region = client.alloc("stale", 256 * 1024, opts).await.unwrap();
+            let data: Vec<u8> = (0..256 * 1024u32).map(|i| (i % 251) as u8).collect();
+            region.write(0, &data).await.unwrap();
+            let victim = fabric::NodeId(region.desc().groups[0].replicas[0].node);
+            client.drain(victim).await.unwrap();
+
+            let metrics = dev.metrics();
+            metrics.reset();
+            let dst = dev.alloc(data.len() as u64).unwrap();
+            region.read_into(0, dst).await.unwrap();
+            assert_eq!(dev.read_mem(dst.addr, data.len() as u64).unwrap(), data);
+            assert_eq!(metrics.counter("rstore.desc.refresh"), 1);
+            let ops = sim::ledger::summarize(&metrics);
+            assert_eq!(ops.len(), 1, "{ops:?}");
+            let read = &ops[0];
+            assert_eq!(read.op, "read");
+            // The failed round, the redial retry of the moved stripe, and
+            // the round against the refreshed descriptor. A lookup RPC
+            // charged to the read would add a doorbell and its bytes.
+            assert_eq!((read.rtts_total, read.retries), (3, 3));
+            assert_eq!((read.doorbells_total, read.bytes_total), (7, 393_796));
+            dev.free(dst).unwrap();
+        });
+    }
+
+    #[test]
     fn region_striped_across_all_servers() {
         let cluster = boot(4);
         let sim = cluster.sim.clone();

@@ -20,7 +20,7 @@ use sim::{OpLedger, Phase};
 
 use crate::client::RStoreClient;
 use crate::crc::crc32c;
-use crate::error::{RStoreError, Result};
+use crate::error::{forensic_reason, RStoreError, Result};
 use crate::layout::{Layout, Piece};
 use crate::proto::{Extent, RegionDesc, CK_BYTES};
 
@@ -200,19 +200,14 @@ impl Region {
     /// has been freed. Callers keep their original IO error in that case —
     /// "the data is gone" must keep surfacing as `RemoteAccess` for layered
     /// recovery (the KV generation machinery) to work unchanged.
-    pub(crate) async fn revalidate(&self, ledger: &OpLedger) -> Result<()> {
+    pub(crate) async fn revalidate(&self) -> Result<()> {
         let s = &self.client.shared;
         s.dev.metrics().incr("rstore.desc.stale");
-        let trace = ledger.optrace();
-        let reval = trace.begin(Phase::Reval, s.sim.now());
-        let result = self.revalidate_inner(ledger).await;
-        trace.end(reval, s.sim.now());
-        result
+        s.sim.phase(Phase::Reval, || self.revalidate_inner()).await
     }
 
-    async fn revalidate_inner(&self, ledger: &OpLedger) -> Result<()> {
+    async fn revalidate_inner(&self) -> Result<()> {
         let s = &self.client.shared;
-        let trace = ledger.optrace();
         let mut backoff = Duration::from_millis(1);
         for attempt in 0u64..8 {
             let fresh = self.client.lookup(self.name()).await?;
@@ -233,9 +228,7 @@ impl Region {
             }
             // The descriptor has not moved: the extent is still sealed for a
             // migration/repair in flight, so this backoff is a seal stall.
-            let seal = trace.begin(Phase::Seal, s.sim.now());
-            s.sim.sleep(backoff).await;
-            trace.end(seal, s.sim.now());
+            s.sim.phase(Phase::Seal, || s.sim.sleep(backoff)).await;
             backoff = (backoff * 2).min(Duration::from_millis(50));
         }
         Ok(())
@@ -256,7 +249,7 @@ impl Region {
     /// Starts a cost ledger for one logical `op` if the owning client has
     /// ledgers enabled ([`ClientConfig::ledger`](crate::client::ClientConfig::ledger)),
     /// otherwise the free disabled ledger.
-    pub(crate) fn op_ledger(&self, op: &'static str) -> OpLedger {
+    fn op_ledger(&self, op: &'static str) -> OpLedger {
         let s = &self.client.shared;
         if s.cfg.ledger {
             let now = s.sim.now();
@@ -270,17 +263,58 @@ impl Region {
         }
     }
 
-    /// Finishes `ledger` result-aware: a structured error (corruption,
-    /// timeout, failover exhaustion, capacity) is recorded on the op's
-    /// forensics trace, which makes the registry dump a triage bundle.
-    pub(crate) fn finish_ledger_res<T>(&self, ledger: &OpLedger, result: &Result<T>) {
-        let now = self.client.shared.sim.now();
-        match result {
-            Err(e) => match crate::error::forensic_reason(e) {
-                Some(reason) => ledger.finish_err(now, reason),
-                None => ledger.finish(now),
-            },
-            Ok(_) => ledger.finish(now),
+    /// Runs the IO `io` makes as one logical `op` covering `units` units.
+    /// With no op context set it runs under a fresh ledger
+    /// ([`op_ledger`](Self::op_ledger)) and folds an `ops.<op>` row; inside
+    /// another op it joins that op, so a public op called from within an
+    /// op adds no row of its own. Taking a maker, not a future, keeps one
+    /// copy of the IO future in this one's state.
+    pub(crate) async fn run_op<T, F: Future<Output = Result<T>>>(
+        &self,
+        op: &'static str,
+        units: u64,
+        io: impl FnOnce() -> F,
+    ) -> Result<T> {
+        let owned = !OpLedger::in_op();
+        let ledger = if owned {
+            let ledger = self.op_ledger(op);
+            ledger.set_units(units);
+            ledger
+        } else {
+            OpLedger::current()
+        };
+        let result = ledger.scope(io()).await;
+        if owned {
+            // A structured error (corruption, timeout, failover exhaustion,
+            // capacity) is recorded on the op's forensics trace, which
+            // makes the registry dump a triage bundle.
+            let error = result.as_ref().err().and_then(forensic_reason);
+            ledger.finish_with(self.client.shared.sim.now(), error);
+        }
+        result
+    }
+
+    /// Runs `io` and, when it fails because every replica it touched
+    /// rejected the rkey (the cached descriptor is stale: the data was
+    /// migrated away or sealed), revalidates the descriptor and runs it
+    /// once more. Region IO is idempotent, so re-running is safe. A failed
+    /// refresh (e.g. the region was freed, so lookup says `NotFound`) keeps
+    /// the original IO error: layered protocols — the KV generation
+    /// machinery — key their own recovery on `RemoteAccess`, not on
+    /// control-path lookup errors.
+    async fn with_revalidation<F: Future<Output = Result<()>>>(
+        &self,
+        io: impl Fn() -> F,
+    ) -> Result<()> {
+        match io().await {
+            Err(e) if is_stale(&e) => {
+                if self.revalidate().await.is_err() {
+                    return Err(e);
+                }
+                OpLedger::current().retry();
+                io().await
+            }
+            r => r,
         }
     }
 
@@ -307,52 +341,7 @@ impl Region {
         result
     }
 
-    /// [`read`](Self::read) charging an existing ledger. The destination
-    /// slice lets callers that already own a buffer (the KV probe loop)
-    /// receive the bytes without a fresh `Vec` per op.
-    pub(crate) async fn read_l(&self, offset: u64, len: u64, ledger: &OpLedger) -> Result<Vec<u8>> {
-        let mut out = vec![0u8; len as usize];
-        self.read_into_vec_l(offset, &mut out, ledger).await?;
-        Ok(out)
-    }
-
-    /// Reads `out.len()` bytes at `offset` into a caller-owned host slice,
-    /// charging `ledger` — the allocation-free sibling of
-    /// [`read_l`](Self::read_l).
-    pub(crate) async fn read_into_vec_l(
-        &self,
-        offset: u64,
-        out: &mut [u8],
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let dev = self.client.shared.dev.clone();
-        let len = out.len() as u64;
-        let staging = self.take_staging(len.max(1))?;
-        let result = async {
-            self.read_into_l(offset, staging.slice(0, len), ledger)
-                .await?;
-            Ok(dev.read_mem_into(staging.addr, out)?)
-        }
-        .await;
-        self.put_staging(staging);
-        result
-    }
-
-    /// [`write`](Self::write) charging an existing ledger.
-    pub(crate) async fn write_l(&self, offset: u64, data: &[u8], ledger: &OpLedger) -> Result<()> {
-        let dev = self.client.shared.dev.clone();
-        let staging = self.take_staging(data.len().max(1) as u64)?;
-        let result = async {
-            dev.write_mem(staging.addr, data)?;
-            self.write_from_l(offset, staging.slice(0, data.len() as u64), ledger)
-                .await
-        }
-        .await;
-        self.put_staging(staging);
-        result
-    }
-
-    /// [`write_l`](Self::write_l) for small host-resident images: posts the
+    /// [`write`](Self::write) for small host-resident images: posts the
     /// payload as *inline* WRITE WRs ([`Wr::inline`](rdma::Wr#structfield.inline))
     /// when the device's [`inline_max`](rdma::RdmaConfig::inline_max)
     /// permits, so the publish pays the cheaper inline post cost and its
@@ -361,22 +350,17 @@ impl Region {
     /// default), the image is too large, the region carries stripe
     /// checksums, or any inline WR fails — region writes are idempotent, so
     /// re-writing replicas that already landed is safe.
-    pub(crate) async fn write_inline_l(
-        &self,
-        offset: u64,
-        bytes: &[u8],
-        ledger: &OpLedger,
-    ) -> Result<()> {
+    pub(crate) async fn write_inline(&self, offset: u64, bytes: &[u8]) -> Result<()> {
         let s = &self.client.shared;
         let len = bytes.len() as u64;
         if self.checksums || len == 0 || len > s.dev.config().inline_max {
-            return self.write_l(offset, bytes, ledger).await;
+            return self.write(offset, bytes).await;
         }
         let staging = self.take_staging(len)?;
         let failed = async {
             s.dev.write_mem(staging.addr, bytes)?;
             let mut items = self.write_items(offset, staging)?;
-            Ok::<_, RStoreError>(self.write_round(&mut items, true, ledger).await)
+            Ok::<_, RStoreError>(self.write_round(&mut items, true).await)
         }
         .await;
         self.put_staging(staging);
@@ -389,8 +373,8 @@ impl Region {
         // round re-writes the whole image through the ordinary recovery
         // machinery (redial, replica repost, stale-descriptor revalidation).
         s.dev.metrics().incr("rstore.inline.fallback");
-        ledger.retry();
-        self.write_l(offset, bytes, ledger).await
+        OpLedger::current().retry();
+        self.write(offset, bytes).await
     }
 
     /// Writes `data` at `offset`.
@@ -414,57 +398,32 @@ impl Region {
     // --- zero-copy awaitable API ------------------------------------------------
 
     /// Reads `dst.len` bytes at `offset` into local buffer `dst`, with
-    /// replica failover, and waits for completion.
+    /// replica failover, and waits for completion. When every replica of
+    /// some stripe answers `RemoteAccess` the cached descriptor is stale
+    /// (the data was migrated away), so the read revalidates and retries
+    /// once rather than erroring.
     ///
     /// # Errors
     ///
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`].
     pub async fn read_into(&self, offset: u64, dst: DmaBuf) -> Result<()> {
-        let ledger = self.op_ledger(if self.checksums { "read_ck" } else { "read" });
-        let result = self.read_into_l(offset, dst, &ledger).await;
-        self.finish_ledger_res(&ledger, &result);
-        result
+        let op = if self.checksums { "read_ck" } else { "read" };
+        let io = || self.with_revalidation(|| self.read_into_raw(offset, dst));
+        self.run_op(op, 1, io).await
     }
 
-    /// [`read_into`](Self::read_into) charging an existing ledger instead of
-    /// opening a fresh one — for callers (the KV layer, `read_into_many`)
-    /// that own the logical op. When every replica of some stripe answers
-    /// `RemoteAccess` the cached descriptor is stale (the data was migrated
-    /// away), so the read revalidates and retries once rather than erroring.
-    pub(crate) async fn read_into_l(
-        &self,
-        offset: u64,
-        dst: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        match self.read_into_raw(offset, dst, ledger).await {
-            Err(e) if is_stale(&e) => {
-                // A failed refresh (e.g. the region was freed, so lookup says
-                // NotFound) keeps the original IO error: layered protocols —
-                // the KV generation machinery — key their own recovery on
-                // `RemoteAccess`, not on control-path lookup errors.
-                if self.revalidate(ledger).await.is_err() {
-                    return Err(e);
-                }
-                ledger.retry();
-                self.read_into_raw(offset, dst, ledger).await
-            }
-            r => r,
-        }
-    }
-
-    async fn read_into_raw(&self, offset: u64, dst: DmaBuf, ledger: &OpLedger) -> Result<()> {
+    async fn read_into_raw(&self, offset: u64, dst: DmaBuf) -> Result<()> {
         let s = &self.client.shared;
         let _span = s
             .sim
             .tracer()
             .span_arg("core", "rstore.read", s.dev.node().0 as u64, dst.len);
         if self.checksums {
-            return self.read_into_ck(offset, dst, ledger).await;
+            return self.read_into_ck(offset, dst).await;
         }
         let pieces = self.layout.borrow().pieces(offset, dst.len)?;
         let mut items: Vec<Item> = pieces.into_iter().map(|p| (p, dst, 0)).collect();
-        self.read_round(&mut items, ledger).await
+        self.read_round(&mut items).await
     }
 
     /// One round of primary reads: `items` go out grouped per memory server
@@ -472,16 +431,15 @@ impl Region {
     /// trip. Every piece of a WR that failed — the CQE folds the first
     /// failing element's status over the whole WR — or failed to post then
     /// takes [`drain_reads`](Self::drain_reads)' per-piece failover.
-    async fn read_round(&self, items: &mut [Item], ledger: &OpLedger) -> Result<()> {
-        let (posted, unposted) =
-            self.post_grouped(items, |&it| it, Dir::Read, false, MAX_SGE, ledger);
+    async fn read_round(&self, items: &mut [Item]) -> Result<()> {
+        let (posted, unposted) = self.post_grouped(items, |&it| it, Dir::Read, false, MAX_SGE);
         let mut retry: Vec<ReadRetry> = unposted
             .into_iter()
             .flat_map(|range| &items[range])
             .map(|&(p, b, r)| (p, b, r, false, CqStatus::Timeout))
             .collect();
         if !posted.is_empty() {
-            ledger.rtt();
+            OpLedger::current().rtt();
         }
         for (range, rx) in posted {
             let status = rx.await.unwrap_or(CqStatus::Flushed);
@@ -493,7 +451,7 @@ impl Region {
                 );
             }
         }
-        self.drain_reads(retry, ledger).await
+        self.drain_reads(retry).await
     }
 
     /// Reads many `(offset, dst)` pairs as one posting round.
@@ -513,38 +471,16 @@ impl Region {
     /// [`RStoreError::OutOfRange`] (checked for every pair before anything
     /// posts) or [`RStoreError::Io`] when all replicas of some stripe fail.
     pub async fn read_into_many(&self, ios: &[(u64, DmaBuf)]) -> Result<()> {
-        let ledger = self.op_ledger(if self.checksums {
+        let op = if self.checksums {
             "read_ck"
         } else {
             "read_many"
-        });
-        ledger.set_units(ios.len() as u64);
-        let result = self.read_into_many_l(ios, &ledger).await;
-        self.finish_ledger_res(&ledger, &result);
-        result
+        };
+        let io = || self.with_revalidation(|| self.read_into_many_raw(ios));
+        self.run_op(op, ios.len() as u64, io).await
     }
 
-    /// [`read_into_many`](Self::read_into_many) charging an existing ledger.
-    /// Stale-descriptor handling mirrors [`read_into_l`](Self::read_into_l):
-    /// one revalidate-and-retry on `RemoteAccess`.
-    pub(crate) async fn read_into_many_l(
-        &self,
-        ios: &[(u64, DmaBuf)],
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        match self.read_into_many_raw(ios, ledger).await {
-            Err(e) if is_stale(&e) => {
-                if self.revalidate(ledger).await.is_err() {
-                    return Err(e);
-                }
-                ledger.retry();
-                self.read_into_many_raw(ios, ledger).await
-            }
-            r => r,
-        }
-    }
-
-    async fn read_into_many_raw(&self, ios: &[(u64, DmaBuf)], ledger: &OpLedger) -> Result<()> {
+    async fn read_into_many_raw(&self, ios: &[(u64, DmaBuf)]) -> Result<()> {
         let s = &self.client.shared;
         let _span = s.sim.tracer().span_arg(
             "core",
@@ -554,7 +490,7 @@ impl Region {
         );
         if self.checksums {
             for &(offset, dst) in ios {
-                self.read_into_ck(offset, dst, ledger).await?;
+                self.read_into_ck(offset, dst).await?;
             }
             return Ok(());
         }
@@ -565,7 +501,7 @@ impl Region {
             let pieces = self.layout.borrow().pieces(offset, dst.len)?;
             items.extend(pieces.into_iter().map(|p| (p, dst, 0)));
         }
-        self.read_round(&mut items, ledger).await
+        self.read_round(&mut items).await
     }
 
     /// Runs the replica-failover loop over reads whose first attempt
@@ -576,16 +512,26 @@ impl Region {
     /// broken while the server is fine — and only advances to the next
     /// replica once that retry fails or the re-dial is refused (backoff
     /// gate, dead node). A piece that exhausts its replicas fails the read.
-    async fn drain_reads(&self, mut retry: Vec<ReadRetry>, ledger: &OpLedger) -> Result<()> {
+    ///
+    /// One retry span covers the whole recovery tail: it opens at the first
+    /// failed piece and closes when the op settles. Individual WR waits and
+    /// failover marks nest inside it, so the span's self-time is exactly
+    /// the recovery overhead (redials, reposts) not explained by wire.
+    async fn drain_reads(&self, retry: Vec<ReadRetry>) -> Result<()> {
+        if retry.is_empty() {
+            return Ok(());
+        }
+        let sim = &self.client.shared.sim;
+        sim.phase(Phase::Retry, || self.fail_over_reads(retry))
+            .await
+    }
+
+    async fn fail_over_reads(&self, mut retry: Vec<ReadRetry>) -> Result<()> {
         let mut waits: Vec<ReadWait> = Vec::new();
         let sim = &self.client.shared.sim;
+        let ledger = OpLedger::current();
         let trace = ledger.optrace();
-        // One retry span covers the whole recovery tail: opened at the first
-        // failed piece, closed when the op settles. Individual WR waits and
-        // failover marks nest inside it, so the span's self-time is exactly
-        // the recovery overhead (redials, reposts) not explained by wire.
-        let mut retry_span = None;
-        let result = 'outer: loop {
+        loop {
             // Each pass that awaits at least one posted completion is one
             // round trip for the logical op (pieces in a round fly in
             // parallel).
@@ -600,10 +546,7 @@ impl Region {
                 }
             }
             if retry.is_empty() {
-                break Ok(());
-            }
-            if retry_span.is_none() && trace.enabled() {
-                retry_span = Some(trace.begin(Phase::Retry, sim.now()));
+                return Ok(());
             }
             let failed = std::mem::take(&mut retry);
             let mut next_round = Vec::new();
@@ -611,9 +554,7 @@ impl Region {
                 if !redialed {
                     let node = self.extent(piece.group, replica).node;
                     if self.client.redial(node).await.is_ok() {
-                        if let Ok(rx) =
-                            self.post_wr([(piece, buf, replica)], Dir::Read, false, ledger)
-                        {
+                        if let Ok(rx) = self.post_wr([(piece, buf, replica)], Dir::Read, false) {
                             ledger.retry();
                             next_round.push((piece, buf, replica, true, rx));
                             continue;
@@ -625,71 +566,45 @@ impl Region {
                 }
                 let next = replica + 1;
                 if next >= self.replicas(piece.group) {
-                    break 'outer Err(RStoreError::Io(status));
+                    return Err(RStoreError::Io(status));
                 }
                 ledger.failover();
                 trace.mark(Phase::Failover, sim.now());
-                match self.post_wr([(piece, buf, next)], Dir::Read, false, ledger) {
+                match self.post_wr([(piece, buf, next)], Dir::Read, false) {
                     Ok(rx) => next_round.push((piece, buf, next, false, rx)),
                     Err(_) => retry.push((piece, buf, next, false, status)),
                 }
             }
             waits = next_round;
-        };
-        if let Some(tok) = retry_span {
-            trace.end(tok, sim.now());
         }
-        result
     }
 
     /// Writes local buffer `src` at `offset` (to **all** replicas) and waits
-    /// for every acknowledgement.
+    /// for every acknowledgement. A replica that answers `RemoteAccess` was
+    /// sealed or migrated away: the write revalidates the descriptor and
+    /// retries once against the refreshed placement.
     ///
     /// # Errors
     ///
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`].
     pub async fn write_from(&self, offset: u64, src: DmaBuf) -> Result<()> {
-        let ledger = self.op_ledger(if self.checksums { "write_ck" } else { "write" });
-        let result = self.write_from_l(offset, src, &ledger).await;
-        self.finish_ledger_res(&ledger, &result);
-        result
+        let op = if self.checksums { "write_ck" } else { "write" };
+        let io = || self.with_revalidation(|| self.write_from_raw(offset, src));
+        self.run_op(op, 1, io).await
     }
 
-    /// [`write_from`](Self::write_from) charging an existing ledger. A
-    /// replica that answers `RemoteAccess` was sealed or migrated away:
-    /// the write revalidates the descriptor and retries once against the
-    /// refreshed placement (region writes are idempotent, so re-writing the
-    /// replicas that already succeeded is safe).
-    pub(crate) async fn write_from_l(
-        &self,
-        offset: u64,
-        src: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        match self.write_from_raw(offset, src, ledger).await {
-            Err(e) if is_stale(&e) => {
-                if self.revalidate(ledger).await.is_err() {
-                    return Err(e);
-                }
-                ledger.retry();
-                self.write_from_raw(offset, src, ledger).await
-            }
-            r => r,
-        }
-    }
-
-    async fn write_from_raw(&self, offset: u64, src: DmaBuf, ledger: &OpLedger) -> Result<()> {
+    async fn write_from_raw(&self, offset: u64, src: DmaBuf) -> Result<()> {
         let s = &self.client.shared;
         let _span = s
             .sim
             .tracer()
             .span_arg("core", "rstore.write", s.dev.node().0 as u64, src.len);
         if self.checksums {
-            return self.write_from_ck(offset, src, ledger).await;
+            return self.write_from_ck(offset, src).await;
         }
         let mut items = self.write_items(offset, src)?;
-        let failed = self.write_round(&mut items, false, ledger).await;
-        self.recover_failed_writes(failed, src, ledger).await
+        let failed = self.write_round(&mut items, false).await;
+        self.recover_failed_writes(failed, src).await
     }
 
     /// Every `(piece, replica)` pair a write of `src` at `offset` must
@@ -708,21 +623,15 @@ impl Region {
     /// round trip). Returns the `(piece, replica)` pairs of every WR that
     /// failed or failed to post — writes are idempotent, so re-writing the
     /// pairs of a failed WR that did land is safe.
-    async fn write_round(
-        &self,
-        items: &mut [Item],
-        inline: bool,
-        ledger: &OpLedger,
-    ) -> Vec<(Piece, usize)> {
-        let (posted, unposted) =
-            self.post_grouped(items, |&it| it, Dir::Write, inline, MAX_SGE, ledger);
+    async fn write_round(&self, items: &mut [Item], inline: bool) -> Vec<(Piece, usize)> {
+        let (posted, unposted) = self.post_grouped(items, |&it| it, Dir::Write, inline, MAX_SGE);
         let mut failed: Vec<(Piece, usize)> = unposted
             .into_iter()
             .flat_map(|range| &items[range])
             .map(|&(p, _, r)| (p, r))
             .collect();
         if !posted.is_empty() {
-            ledger.rtt();
+            OpLedger::current().rtt();
         }
         for (range, rx) in posted {
             if !matches!(rx.await, Some(CqStatus::Success)) {
@@ -735,25 +644,18 @@ impl Region {
     /// Recovery round of a plain write: a write must reach every replica,
     /// so each failed (piece, replica) gets one re-dial plus repost; a
     /// replica that stays unreachable fails the IO.
-    async fn recover_failed_writes(
-        &self,
-        failed: Vec<(Piece, usize)>,
-        src: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
+    async fn recover_failed_writes(&self, failed: Vec<(Piece, usize)>, src: DmaBuf) -> Result<()> {
         if failed.is_empty() {
             return Ok(());
         }
-        let sim = &self.client.shared.sim;
-        let trace = ledger.optrace();
-        let span = trace.begin(Phase::Retry, sim.now());
-        let result = async {
+        let ledger = OpLedger::current();
+        let recover = || async {
             for (piece, r) in failed {
                 let node = self.extent(piece.group, r).node;
                 if self.client.redial(node).await.is_err() {
                     return Err(RStoreError::Io(CqStatus::Timeout));
                 }
-                let Ok(rx) = self.post_wr([(piece, src, r)], Dir::Write, false, ledger) else {
+                let Ok(rx) = self.post_wr([(piece, src, r)], Dir::Write, false) else {
                     return Err(RStoreError::Io(CqStatus::Timeout));
                 };
                 ledger.retry();
@@ -765,10 +667,8 @@ impl Region {
                 }
             }
             Ok(())
-        }
-        .await;
-        trace.end(span, sim.now());
-        result
+        };
+        self.client.shared.sim.phase(Phase::Retry, recover).await
     }
 
     // --- verified (checksummed) paths -----------------------------------------
@@ -794,7 +694,7 @@ impl Region {
     /// ([`read_piece_verified_into`](Self::read_piece_verified_into)).
     /// A failure stops further issue; the window drains, and the error of
     /// the first failing stripe in piece order wins.
-    async fn read_into_ck(&self, offset: u64, dst: DmaBuf, ledger: &OpLedger) -> Result<()> {
+    async fn read_into_ck(&self, offset: u64, dst: DmaBuf) -> Result<()> {
         let pieces = self.layout.borrow().pieces(offset, dst.len)?;
         let depth = self.client.shared.cfg.pipeline_depth.max(1);
         let full = |i: usize| Piece {
@@ -830,10 +730,9 @@ impl Region {
                     Dir::Read,
                     false,
                     depth.min(MAX_SGE),
-                    ledger,
                 );
                 if !posted.is_empty() {
-                    ledger.rtt();
+                    OpLedger::current().rtt();
                 }
                 let shift = |r: Range<usize>| r.start + next..r.end + next;
                 flights.extend(posted.into_iter().map(|(r, rx)| (shift(r), rx)));
@@ -861,7 +760,7 @@ impl Region {
             for &(i, staging) in &issued[range] {
                 let first = Some(status);
                 let settled = self
-                    .read_piece_verified_into(&pieces[i], dst, staging, ledger, first)
+                    .read_piece_verified_into(&pieces[i], dst, staging, first)
                     .await;
                 self.put_staging(staging);
                 inflight -= 1;
@@ -924,6 +823,8 @@ impl Region {
         let inflight = Rc::new(Cell::new(0u64));
         let peak = Rc::new(Cell::new(0u64));
         let op = Rc::new(op);
+        // Each stripe's task charges the op that spawned it.
+        let ledger = OpLedger::current();
         let mut handles = Vec::with_capacity(pieces.len());
         for piece in pieces {
             sem.acquire().await;
@@ -937,7 +838,7 @@ impl Region {
             peak.set(peak.get().max(inflight.get()));
             let (sem, failed, inflight) = (sem.clone(), failed.clone(), inflight.clone());
             let (op, this) = (op.clone(), self.clone());
-            handles.push(s.sim.spawn(async move {
+            handles.push(s.sim.spawn(ledger.scope(async move {
                 let result = op(this, piece).await;
                 if result.is_err() {
                     failed.set(true);
@@ -945,7 +846,7 @@ impl Region {
                 inflight.set(inflight.get() - 1);
                 sem.release();
                 result
-            }));
+            })));
         }
         self.note_inflight_peak(peak.get());
         for result in sim::join_all(handles).await {
@@ -975,10 +876,10 @@ impl Region {
         want: &Piece,
         dst: DmaBuf,
         staging: DmaBuf,
-        ledger: &OpLedger,
         mut first: Option<CqStatus>,
     ) -> Result<()> {
         let s = &self.client.shared;
+        let ledger = OpLedger::current();
         let stripe_len = self.stripe_len(want.group) as usize;
         let full = Piece {
             group: want.group,
@@ -997,7 +898,7 @@ impl Region {
         while replica < self.replicas(want.group) {
             let status = match first.take() {
                 Some(status) => status,
-                None => match self.post_wr([(full, staging, replica)], Dir::Read, false, ledger) {
+                None => match self.post_wr([(full, staging, replica)], Dir::Read, false) {
                     Ok(rx) => {
                         ledger.rtt();
                         rx.await.unwrap_or(CqStatus::Flushed)
@@ -1070,12 +971,10 @@ impl Region {
     /// like verified reads (up to `pipeline_depth` in flight), so stripes
     /// may commit in any order — unchanged from the API contract, which
     /// never promised cross-stripe ordering within a write.
-    async fn write_from_ck(&self, offset: u64, src: DmaBuf, ledger: &OpLedger) -> Result<()> {
+    async fn write_from_ck(&self, offset: u64, src: DmaBuf) -> Result<()> {
         let pieces = self.layout.borrow().pieces(offset, src.len)?;
-        let ledger = ledger.clone();
-        self.pipeline_ck(pieces, move |this, piece| {
-            let ledger = ledger.clone();
-            async move { this.write_piece_ck(&piece, src, &ledger).await }
+        self.pipeline_ck(pieces, move |this, piece| async move {
+            this.write_piece_ck(&piece, src).await
         })
         .await
     }
@@ -1083,7 +982,7 @@ impl Region {
     /// Assembles and replicates one checksummed stripe: optional verified
     /// read-modify-write fill, overlay of the new bytes, trailer recompute,
     /// then a write to every replica.
-    async fn write_piece_ck(&self, piece: &Piece, src: DmaBuf, ledger: &OpLedger) -> Result<()> {
+    async fn write_piece_ck(&self, piece: &Piece, src: DmaBuf) -> Result<()> {
         let dev = self.client.shared.dev.clone();
         let stripe_len = self.stripe_len(piece.group);
         let full = Piece {
@@ -1104,7 +1003,7 @@ impl Region {
                     len: stripe_len,
                     buf_offset: 0,
                 };
-                self.read_piece_verified_into(&cur, staging, staging, ledger, None)
+                self.read_piece_verified_into(&cur, staging, staging, None)
                     .await?;
             }
             // Overlay the new data and recompute the trailer, bouncing
@@ -1119,7 +1018,7 @@ impl Region {
                 let trailer = (crc32c(&scratch[..]) as u64).to_le_bytes();
                 dev.write_mem(staging.addr + stripe_len, &trailer)?;
             }
-            self.write_piece_all_replicas(&full, staging, ledger).await
+            self.write_piece_all_replicas(&full, staging).await
         }
         .await;
         self.put_staging(staging);
@@ -1131,16 +1030,12 @@ impl Region {
     /// [`write_from`](Self::write_from)'s recovery round: each failed
     /// replica gets one re-dial plus repost, and a replica that stays
     /// unreachable fails the IO.
-    async fn write_piece_all_replicas(
-        &self,
-        piece: &Piece,
-        buf: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
+    async fn write_piece_all_replicas(&self, piece: &Piece, buf: DmaBuf) -> Result<()> {
+        let ledger = OpLedger::current();
         let mut waits = Vec::new();
         let mut failed = Vec::new();
         for r in 0..self.replicas(piece.group) {
-            match self.post_wr([(*piece, buf, r)], Dir::Write, false, ledger) {
+            match self.post_wr([(*piece, buf, r)], Dir::Write, false) {
                 Ok(rx) => waits.push((r, rx)),
                 Err(_) => failed.push(r),
             }
@@ -1162,7 +1057,7 @@ impl Region {
             if self.client.redial(node).await.is_err() {
                 return Err(RStoreError::Io(CqStatus::Timeout));
             }
-            let Ok(rx) = self.post_wr([(*piece, buf, r)], Dir::Write, false, ledger) else {
+            let Ok(rx) = self.post_wr([(*piece, buf, r)], Dir::Write, false) else {
                 return Err(RStoreError::Io(CqStatus::Timeout));
             };
             ledger.retry();
@@ -1214,22 +1109,23 @@ impl Region {
         let pieces = self.layout.borrow().pieces(offset, buf.len)?;
         let mut rxs = Vec::new();
         let mut failed = false;
-        for piece in &pieces {
-            let replicas = match dir {
-                Dir::Read => 1,
-                Dir::Write => self.replicas(piece.group),
-            };
-            for r in 0..replicas {
-                // One WR per piece: the zero-copy API's callers keep many
-                // IOs in flight themselves. It has no logical-op boundary to
-                // attribute to, so its WRs stay unledgered.
-                let ledger = OpLedger::disabled();
-                match self.post_wr([(*piece, buf, r)], dir, false, &ledger) {
-                    Ok(rx) => rxs.push(rx),
-                    Err(_) => failed = true,
+        // One WR per piece: the zero-copy API's callers keep many IOs in
+        // flight themselves. It has no logical-op boundary to attribute
+        // to, so its WRs stay unledgered even when posted inside an op.
+        OpLedger::disabled().enter(|| {
+            for piece in &pieces {
+                let replicas = match dir {
+                    Dir::Read => 1,
+                    Dir::Write => self.replicas(piece.group),
+                };
+                for r in 0..replicas {
+                    match self.post_wr([(*piece, buf, r)], dir, false) {
+                        Ok(rx) => rxs.push(rx),
+                        Err(_) => failed = true,
+                    }
                 }
             }
-        }
+        });
         Ok(IoHandle {
             rxs,
             post_failed: failed,
@@ -1248,7 +1144,6 @@ impl Region {
         dir: Dir,
         inline: bool,
         cap: usize,
-        ledger: &OpLedger,
     ) -> (Vec<Posted>, Vec<Range<usize>>) {
         let node = |e: &T| {
             let (piece, _, replica) = item(e);
@@ -1263,7 +1158,7 @@ impl Region {
             while end < elems.len() && end - start < cap && node(&elems[end]) == server {
                 end += 1;
             }
-            match self.post_wr(elems[start..end].iter().map(&item), dir, inline, ledger) {
+            match self.post_wr(elems[start..end].iter().map(&item), dir, inline) {
                 Ok(rx) => posted.push((start..end, rx)),
                 Err(_) => unposted.push(start..end),
             }
@@ -1281,7 +1176,6 @@ impl Region {
         items: impl IntoIterator<Item = Item>,
         dir: Dir,
         inline: bool,
-        ledger: &OpLedger,
     ) -> Result<oneshot::Receiver<CqStatus>> {
         let s = &self.client.shared;
         let mut sges: Option<SgeList> = None;
@@ -1323,11 +1217,7 @@ impl Region {
             inline,
             ..Wr::new(wr_id, op, sges)
         };
-        let posted = {
-            let _scope = s.dev.ledger_scope(ledger);
-            qp.post(&[wr])
-        };
-        if let Err(e) = posted {
+        if let Err(e) = qp.post(&[wr]) {
             s.pending.borrow_mut().remove(&wr_id);
             s.outstanding.done();
             return Err(e.into());

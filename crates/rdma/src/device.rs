@@ -105,8 +105,8 @@ struct PendingWr {
     /// Whether a *successful* completion generates a CQE. Error and flush
     /// completions are always delivered, matching verbs hardware.
     signaled: bool,
-    /// Cost ledger of the logical op this WR belongs to (disabled unless a
-    /// [`RdmaDevice::ledger_scope`] was active at post time).
+    /// Cost ledger of the logical op this WR was posted under
+    /// ([`OpLedger::current`] at post time).
     ledger: OpLedger,
     /// Doorbell/WQE-build nanoseconds already charged to [`Layer::Post`]
     /// for this WR; subtracted when attributing completion latency.
@@ -154,9 +154,6 @@ struct DevInner {
     /// feeds the backlog-aware operation timeout (a device that just posted
     /// gigabytes must not expire ops queued behind its own backlog).
     outstanding_bytes: u64,
-    /// Ledger charged by work requests posted while a
-    /// [`RdmaDevice::ledger_scope`] is active. Disabled by default.
-    current_ledger: OpLedger,
 }
 
 /// A simulated RDMA NIC attached to one fabric node.
@@ -205,7 +202,6 @@ impl RdmaDevice {
                 next_qpn: 1,
                 next_conn: 1,
                 outstanding_bytes: 0,
-                current_ledger: OpLedger::disabled(),
             })),
             cfg: Rc::new(cfg),
         };
@@ -257,20 +253,6 @@ impl RdmaDevice {
     /// The device's timing configuration.
     pub fn config(&self) -> &RdmaConfig {
         &self.cfg
-    }
-
-    /// Makes `ledger` the cost ledger charged by every work request posted
-    /// on this device until the returned guard drops (scopes nest: the
-    /// previous ledger is restored). The simulation is single-threaded and
-    /// posting is synchronous, so a scope held across `post_*` calls
-    /// attributes exactly those WRs — in-flight completion charges follow
-    /// the WR, not the scope.
-    pub fn ledger_scope(&self, ledger: &OpLedger) -> LedgerScope {
-        let prev = std::mem::replace(&mut self.inner.borrow_mut().current_ledger, ledger.clone());
-        LedgerScope {
-            inner: self.inner.clone(),
-            prev,
-        }
     }
 
     /// Upper bound on how long an operation of `bytes` posted *now* may take
@@ -987,19 +969,6 @@ impl RdmaDevice {
     }
 }
 
-/// Guard returned by [`RdmaDevice::ledger_scope`]; restores the previously
-/// active ledger on drop.
-pub struct LedgerScope {
-    inner: Rc<RefCell<DevInner>>,
-    prev: OpLedger,
-}
-
-impl Drop for LedgerScope {
-    fn drop(&mut self) {
-        self.inner.borrow_mut().current_ledger = std::mem::take(&mut self.prev);
-    }
-}
-
 fn check(
     arena: &Arena,
     rkey: RKey,
@@ -1191,6 +1160,10 @@ impl Qp {
     /// order, each element as its own wire request; completions release in
     /// the same order, one CQE per WR.
     ///
+    /// Doorbells, post time and wire bytes are charged to the op context
+    /// the post runs in ([`OpLedger::current`]); each WR's completion
+    /// charges follow the WR.
+    ///
     /// # Errors
     ///
     /// * [`RdmaError::InvalidHandle`] — empty list, or an atomic or SEND
@@ -1206,7 +1179,7 @@ impl Qp {
         self.validate(wrs)?;
         let cfg = &self.dev.cfg;
         let metrics = self.dev.metrics();
-        let ledger = self.dev.inner.borrow().current_ledger.clone();
+        let ledger = OpLedger::current();
         // Cumulative WQE-build delay: chunk k's packets leave once every WQE
         // of chunks 0..=k is built.
         let mut build_delay = std::time::Duration::ZERO;
@@ -1221,7 +1194,7 @@ impl Qp {
             build_delay += chunk_cost;
             for (i, wr) in chunk.iter().enumerate() {
                 let cost = if i == 0 { head_cost } else { linked_cost };
-                self.enqueue(wr, cost.as_nanos() as u64, build_delay, &ledger);
+                self.enqueue(wr, cost.as_nanos() as u64, build_delay);
             }
             // One doorbell for the whole chunk; per-WR bytes were recorded
             // by `enqueue`, and the ring size feeds the batching histogram.
@@ -1272,14 +1245,9 @@ impl Qp {
     /// Puts one validated WR on the send queue: one sub-request id and one
     /// wire request per gather element, each sent `send_after` from now,
     /// then arms the WR's timeout.
-    fn enqueue(
-        &self,
-        wr: &Wr,
-        post_cost_ns: u64,
-        send_after: std::time::Duration,
-        ledger: &OpLedger,
-    ) {
+    fn enqueue(&self, wr: &Wr, post_cost_ns: u64, send_after: std::time::Duration) {
         let now = self.dev.sim.now();
+        let ledger = OpLedger::current();
         let (opcode, byte_len) = match wr.op {
             WrOp::Read => (CqeOpcode::Read, wr.sges.total_bytes()),
             WrOp::Write => (CqeOpcode::Write, wr.sges.total_bytes()),

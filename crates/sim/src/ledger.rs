@@ -3,9 +3,11 @@
 //! The disaggregated-memory literature judges a data-store design by its
 //! *communication cost per operation* — round trips, doorbells, wire bytes —
 //! not by latency averages alone. An [`OpLedger`] is a lightweight handle
-//! created at a client API boundary (`get`, `put`, `read`, `write_ck`, …)
-//! and threaded down through the region/KV/RDMA layers, each of which
-//! *charges* the costs it incurs:
+//! created at a client API boundary (`get`, `put`, `read`, `write_ck`, …).
+//! It travels with the op's future, not through argument lists: the op runs
+//! under [`OpLedger::scope`], which makes the ledger the *op context* for
+//! every poll of that future, and each layer below charges
+//! [`OpLedger::current`] for the costs it incurs:
 //!
 //! * **RTTs** — posting rounds that awaited at least one completion,
 //! * **doorbells** — distinct NIC doorbell rings (batched posts ring once),
@@ -16,6 +18,13 @@
 //!   (`post`), on the fabric (`wire`), in the simulated NIC/server
 //!   (`server`), with the remainder attributed to client logic (`client`).
 //!
+//! The context is per future, not per task: two scoped ops joined in one
+//! task each charge only their own ledger, and a scope nested inside
+//! another restores the outer op when its poll returns. A disabled scope
+//! ([`OpLedger::disabled`]) still counts as an op context — code that must
+//! not be charged to the op it runs inside (the control plane) runs under
+//! one.
+//!
 //! When the ledger is finished the charges are folded into per-op-type
 //! histograms and counters under the `ops.<op>.*` namespace of a
 //! [`Metrics`] registry, from which [`summarize`] derives deterministic
@@ -24,12 +33,17 @@
 //!
 //! Like `sim::trace`, a disabled ledger is free: [`OpLedger::disabled`]
 //! holds no allocation and every charge method is a branch on `None`.
+//! Entering a scope allocates nothing either, enabled or disabled.
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
+use crate::executor::Sim;
 use crate::metrics::Metrics;
-use crate::optrace::OpTrace;
+use crate::optrace::{OpTrace, Phase};
 use crate::time::SimTime;
 
 /// Raw cost counters accumulated by one logical operation.
@@ -75,6 +89,14 @@ struct Inner {
     costs: RefCell<OpCosts>,
     finished: Cell<bool>,
     trace: OpTrace,
+    /// False for a [`OpLedger::sub_op`], whose trace is its parent's.
+    owns_trace: bool,
+}
+
+thread_local! {
+    /// The op context of the future being polled, set by [`Scoped`] for
+    /// the duration of each poll; `None` outside every op.
+    static CURRENT: RefCell<Option<OpLedger>> = const { RefCell::new(None) };
 }
 
 /// A per-operation cost ledger handle.
@@ -106,6 +128,27 @@ impl OpLedger {
     /// rides inside the ledger so every layer holding a ledger clone can
     /// stamp phase spans, and [`OpLedger::finish`] finishes both.
     pub fn start_traced(metrics: &Metrics, op: &str, now: SimTime, trace: OpTrace) -> Self {
+        Self::start_with(metrics, op, now, trace, true)
+    }
+
+    /// A sub-operation of this op — e.g. the CAS a `put` issues — with its
+    /// own `ops.<op>.*` row in `metrics`, whose spans land in this op's
+    /// trace (finishing the sub-op leaves that trace open). Fold its costs
+    /// back with [`OpLedger::absorb`]. Disabled when this ledger is.
+    pub fn sub_op(&self, metrics: &Metrics, op: &str, now: SimTime) -> Self {
+        if !self.enabled() {
+            return Self::disabled();
+        }
+        Self::start_with(metrics, op, now, self.optrace(), false)
+    }
+
+    fn start_with(
+        metrics: &Metrics,
+        op: &str,
+        now: SimTime,
+        trace: OpTrace,
+        owns_trace: bool,
+    ) -> Self {
         Self {
             inner: Some(Rc::new(Inner {
                 metrics: metrics.scoped("ops").scoped(op),
@@ -116,7 +159,44 @@ impl OpLedger {
                 }),
                 finished: Cell::new(false),
                 trace,
+                owns_trace,
             })),
+        }
+    }
+
+    /// The ledger of the op whose future is being polled
+    /// ([`OpLedger::disabled`] outside every op). Cheap: clones an
+    /// `Option<Rc>`.
+    pub fn current() -> Self {
+        CURRENT.with(|c| c.borrow().clone().unwrap_or_default())
+    }
+
+    /// True inside any op scope, a disabled one included. A public op
+    /// starts its own ledger only when this is false; otherwise it joins
+    /// the enclosing op.
+    pub fn in_op() -> bool {
+        CURRENT.with(|c| c.borrow().is_some())
+    }
+
+    /// Runs `f` with this ledger as the op context, restoring the previous
+    /// one afterwards. The synchronous form of [`OpLedger::scope`].
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<OpLedger>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                CURRENT.with(|c| *c.borrow_mut() = self.0.take());
+            }
+        }
+        let _restore = Restore(CURRENT.with(|c| c.borrow_mut().replace(self.clone())));
+        f()
+    }
+
+    /// Wraps `fut` so that this ledger is the op context during each of
+    /// its polls (like `tracing::Instrument`). Unboxed, and allocation-free.
+    pub fn scope<F: Future>(&self, fut: F) -> Scoped<F> {
+        Scoped {
+            ledger: self.clone(),
+            fut,
         }
     }
 
@@ -190,7 +270,7 @@ impl OpLedger {
     /// `other`'s units). Used when a sub-operation keeps its own ledger —
     /// e.g. `put` absorbing the CAS it issued — so the parent's totals
     /// still cover the whole logical op.
-    pub fn absorb(&self, other: &OpLedger) {
+    pub fn absorb(&self, other: &Self) {
         let Some(other) = &other.inner else { return };
         let o = *other.costs.borrow();
         self.charge(|c| {
@@ -226,12 +306,15 @@ impl OpLedger {
         self.finish_with(now, Some(reason));
     }
 
-    fn finish_with(&self, now: SimTime, error: Option<&'static str>) {
+    /// [`OpLedger::finish`] or [`OpLedger::finish_err`], as `error` says.
+    pub fn finish_with(&self, now: SimTime, error: Option<&'static str>) {
         let Some(inner) = &self.inner else { return };
         if inner.finished.replace(true) {
             return;
         }
-        inner.trace.finish(now, error);
+        if inner.owns_trace {
+            inner.trace.finish(now, error);
+        }
         let c = *inner.costs.borrow();
         let m = &inner.metrics;
         let elapsed = now.saturating_since(inner.started).as_nanos() as u64;
@@ -248,6 +331,38 @@ impl OpLedger {
         m.add("time.post_ns", c.post_ns);
         m.add("time.wire_ns", c.wire_ns);
         m.add("time.server_ns", c.server_ns);
+    }
+}
+
+/// Future returned by [`OpLedger::scope`].
+#[must_use = "futures do nothing unless awaited"]
+pub struct Scoped<F> {
+    ledger: OpLedger,
+    fut: F,
+}
+
+impl<F: Future> Future for Scoped<F> {
+    type Output = F::Output;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+        // SAFETY: `fut` is structurally pinned — it is never moved out of
+        // `self` — and `ledger` is never pinned.
+        let this = unsafe { self.get_unchecked_mut() };
+        let fut = unsafe { Pin::new_unchecked(&mut this.fut) };
+        this.ledger.enter(|| fut.poll(cx))
+    }
+}
+
+impl Sim {
+    /// Awaits the future `fut` makes inside a `phase` span of the current
+    /// op's trace. Taking a maker, not a future, keeps one copy of the
+    /// future in this one's state.
+    pub async fn phase<F: Future>(&self, phase: Phase, fut: impl FnOnce() -> F) -> F::Output {
+        let trace = OpLedger::current().optrace();
+        let span = trace.begin(phase, self.now());
+        let out = fut().await;
+        trace.end(span, self.now());
+        out
     }
 }
 
@@ -465,6 +580,98 @@ mod tests {
             .optrace()
             .enabled());
         assert!(!OpLedger::disabled().optrace().enabled());
+    }
+
+    #[test]
+    fn scoped_ops_joined_in_one_task_charge_only_their_own_ledger() {
+        let sim = Sim::new();
+        let m = Metrics::new();
+        let (a, b) = (
+            OpLedger::start(&m, "a", SimTime::ZERO),
+            OpLedger::start(&m, "b", SimTime::ZERO),
+        );
+        // Each op charges one RTT per wake-up: `a` wakes twice, `b` three
+        // times, interleaved in one task by `join_all`.
+        let op = |wakes: u64| {
+            let sim = sim.clone();
+            async move {
+                for _ in 0..wakes {
+                    OpLedger::current().rtt();
+                    sim.sleep(Duration::from_nanos(10)).await;
+                }
+                OpLedger::current().wire(wakes);
+            }
+        };
+        let (sa, sb) = (a.scope(op(2)), b.scope(op(3)));
+        sim.block_on(async move {
+            crate::join_all([sa, sb]).await;
+            assert!(!OpLedger::in_op(), "scopes leak no context into the task");
+        });
+        assert_eq!(
+            (a.costs().unwrap().rtts, a.costs().unwrap().wire_bytes),
+            (2, 2)
+        );
+        assert_eq!(
+            (b.costs().unwrap().rtts, b.costs().unwrap().wire_bytes),
+            (3, 3)
+        );
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_outer_op() {
+        let sim = Sim::new();
+        let m = Metrics::new();
+        let outer = OpLedger::start(&m, "outer", SimTime::ZERO);
+        let inner = OpLedger::start(&m, "inner", SimTime::ZERO);
+        let s = sim.clone();
+        let (o, i) = (outer.clone(), inner.clone());
+        sim.block_on(outer.scope(async move {
+            OpLedger::current().rtt();
+            i.scope(async {
+                OpLedger::current().doorbell();
+                s.sleep(Duration::from_nanos(5)).await;
+                OpLedger::current().doorbell();
+            })
+            .await;
+            OpLedger::current().rtt();
+            // A disabled scope is still an op context, and charges nothing.
+            OpLedger::disabled().enter(|| {
+                assert!(OpLedger::in_op());
+                OpLedger::current().rtt();
+            });
+            assert_eq!(OpLedger::current().costs(), o.costs());
+        }));
+        assert!(!OpLedger::in_op());
+        let (o, i) = (outer.costs().unwrap(), inner.costs().unwrap());
+        assert_eq!((o.rtts, o.doorbells), (2, 0));
+        assert_eq!((i.rtts, i.doorbells), (0, 2));
+    }
+
+    #[test]
+    fn sub_op_records_its_row_into_the_parents_trace() {
+        use crate::optrace::{Forensics, ForensicsConfig};
+        let f = Forensics::from_parts(Forensics::new_buf(), Rc::new(|| SimTime::ZERO));
+        f.enable(ForensicsConfig::default());
+        let m = Metrics::new();
+        let put = OpLedger::start_traced(&m, "put", SimTime::ZERO, f.start("put", SimTime::ZERO));
+        let cas = put.sub_op(&m, "cas", SimTime::from_nanos(10));
+        cas.rtt();
+        cas.layer_ns(Layer::Post, 7);
+        cas.optrace().span_ns(Phase::Post, 10, 7);
+        cas.finish_err(SimTime::from_nanos(30), "timeout");
+        // The sub-op folds its own row but leaves the parent's trace open.
+        assert_eq!(m.counter("ops.cas.count"), 1);
+        assert_eq!((f.finished(), f.failed()), (0, 0));
+        put.absorb(&cas);
+        put.finish(SimTime::from_nanos(50));
+        assert_eq!(f.finished(), 1);
+        let rec = f.ring()[0];
+        assert_eq!(rec.kind, "put");
+        assert_eq!(rec.blame[Phase::Post as usize], 7);
+        assert_eq!(m.counter("ops.put.time.post_ns"), 7);
+        assert!(!OpLedger::disabled()
+            .sub_op(&m, "cas", SimTime::ZERO)
+            .enabled());
     }
 
     #[test]

@@ -37,7 +37,8 @@
 //! * [`rng`] — a seeded deterministic random number generator.
 //! * [`metrics`] — counters and latency histograms shared between components.
 //! * [`ledger`] — per-operation cost attribution (RTTs, doorbells, wire
-//!   bytes, per-layer time split; zero-cost when disabled).
+//!   bytes, per-layer time split; zero-cost when disabled), carried by the
+//!   op's future as its op context ([`OpLedger::scope`]).
 //! * [`optrace`] — causal per-op forensics: phase span trees, critical-path
 //!   blame vectors, tail exemplars, and a black-box flight recorder
 //!   (zero-cost when disabled).
@@ -62,7 +63,7 @@ pub mod trace;
 pub use channel::{channel, oneshot, Receiver, Sender};
 pub use executor::{JoinHandle, Sim};
 pub use future_util::{join_all, yield_now};
-pub use ledger::{Layer, OpCosts, OpLedger, OpSummary};
+pub use ledger::{Layer, OpCosts, OpLedger, OpSummary, Scoped};
 pub use metrics::{Histogram, Metrics};
 pub use optrace::{
     BlameVec, EraNote, Exemplar, FlightRec, Forensics, ForensicsConfig, OpTrace, Phase, SpanRec,

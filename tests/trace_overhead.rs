@@ -1,5 +1,6 @@
 //! Disabled observability must be free: recording through a disabled
-//! tracer or charging a disabled op ledger performs no heap allocation.
+//! tracer, charging a disabled op ledger, or entering an op scope performs
+//! no heap allocation.
 //! This is the only test in the binary so the counting global allocator
 //! sees no concurrent test threads.
 
@@ -85,6 +86,30 @@ fn disabled_tracing_does_not_allocate() {
     assert!(
         metrics.counter("ops.get.count") == 1,
         "enabled ledger must fold into metrics on finish"
+    );
+
+    // The op scope every public op runs under follows it too: entering
+    // and leaving a disabled or an enabled scope — polling a scoped future,
+    // or running a closure under one — never touches the heap.
+    let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+    let scoped = sim::OpLedger::start(&metrics, "scoped", sim::SimTime::ZERO);
+    for ledger in [sim::OpLedger::disabled(), scoped.clone()] {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..1000 {
+            let op = std::pin::pin!(ledger.scope(async { sim::OpLedger::current().rtt() }));
+            assert!(std::future::Future::poll(op, &mut cx).is_ready());
+            ledger.enter(|| sim::OpLedger::current().doorbell());
+        }
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(
+            after - before,
+            0,
+            "entering an op scope must not touch the heap"
+        );
+    }
+    assert_eq!(
+        scoped.costs().map(|c| (c.rtts, c.doorbells)),
+        Some((1000, 1000))
     );
 
     // Causal op forensics follow the same discipline. A disabled trace
